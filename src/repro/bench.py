@@ -25,10 +25,9 @@ Cases
   accounting, the outage-aware deadline-safe fraction, and the
   replay-identity of chaotic runs.
 - ``crowd-5000-sharded`` — the city-scale case (skipped in ``--quick``):
-  a 5000-device advertising crowd run unsharded scalar, unsharded
-  vectorized, and on the cell-sharded kernel (serial + process
-  backends). Gates on vectorization being byte-identical to the scalar
-  scan and on the two shard backends merging to byte-identical metrics.
+  a 5000-device advertising crowd run unsharded and on the cell-sharded
+  kernel (serial + process backends). Gates on the two shard backends
+  merging to byte-identical metrics.
 - ``crowd-20000-balanced`` — the shard-planning case (skipped in
   ``--quick``): a 20000-device hotspot crowd on the sharded kernel at
   ``shards=4``, column bands vs load-balanced tiles. Reports per-plan
@@ -462,18 +461,17 @@ def bench_sharded_crowd(
     shards: int,
     repeats: int,
 ) -> CaseResult:
-    """City-scale storm: single-kernel scalar vs vectorized vs sharded.
+    """City-scale storm: single kernel vs cell-sharded kernel.
 
-    The same 5000-device advertising crowd runs four ways — unsharded
-    with the numpy scan path off (the old kernel), unsharded vectorized,
-    and on the cell-sharded kernel with both backends. Two identity
-    checks gate the case: vectorization must be byte-identical to the
-    scalar scan (it is pure acceleration), and the serial and process
-    shard backends must merge to byte-identical metrics (the sharded
-    kernel's determinism contract). Wall-clock headline: the sharded +
-    vectorized kernel against the scalar single process. On a single
-    CPU the process backend measures protocol overhead, not parallelism;
-    ``cpus`` in the detail says which reading applies.
+    The same 5000-device advertising crowd runs three ways — unsharded,
+    and on the cell-sharded kernel with both backends. The identity
+    check gating the case: the serial and process shard backends must
+    merge to byte-identical metrics (the sharded kernel's determinism
+    contract). Wall-clock headline: ``speedup_sharded``, the unsharded
+    wall over the best sharded wall — both legs run the same discovery
+    code, so the ratio measures sharding alone. On a box with fewer
+    CPUs than shards the process backend measures protocol overhead,
+    not parallelism; ``cpus`` in the detail says which reading applies.
     """
     from repro.shard import run_crowd_scenario_sharded
 
@@ -484,12 +482,7 @@ def bench_sharded_crowd(
     scan_period_s = 10.0
     storm = _storm_pre_run(scan_period_s)
 
-    def run_unsharded(vectorized: bool):
-        def pre_run(context: NetworkContext, devices: Dict[str, Any]) -> None:
-            if not vectorized:
-                context.medium.vectorized = False
-            storm(context, devices)
-
+    def run_unsharded():
         return run_crowd_scenario(
             n_devices=n_devices,
             relay_fraction=0.2,
@@ -499,7 +492,7 @@ def bench_sharded_crowd(
             hotspot_spread_m=spread_m,
             mobile_fraction=mobile_fraction,
             seed=0,
-            pre_run=pre_run,
+            pre_run=storm,
         )
 
     def run_sharded(backend: str):
@@ -518,12 +511,10 @@ def bench_sharded_crowd(
             backend=backend,
         )
 
-    scalar_wall, scalar = _best_of(lambda: run_unsharded(False), repeats)
-    vector_wall, vector = _best_of(lambda: run_unsharded(True), repeats)
+    unsharded_wall, __ = _best_of(run_unsharded, repeats)
     serial_wall, serial = _best_of(lambda: run_sharded("serial"), repeats)
     process_wall, process = _best_of(lambda: run_sharded("process"), repeats)
 
-    vector_identical = _identical(scalar.metrics, vector.metrics)
     backend_identical = (
         serial.metrics.to_comparable_dict()
         == process.metrics.to_comparable_dict()
@@ -537,25 +528,19 @@ def bench_sharded_crowd(
             "n_devices": n_devices,
             "shards": shards,
             "cpus": os.cpu_count(),
-            "scalar_wall_s": scalar_wall,
-            "vectorized_wall_s": vector_wall,
+            "unsharded_wall_s": unsharded_wall,
             "sharded_serial_wall_s": serial_wall,
             "sharded_process_wall_s": process_wall,
-            "speedup_vectorized": (
-                scalar_wall / vector_wall if vector_wall > 0 else 0.0
-            ),
             "speedup_sharded": (
-                scalar_wall / best_sharded if best_sharded > 0 else 0.0
+                unsharded_wall / best_sharded if best_sharded > 0 else 0.0
             ),
-            "identical_metrics": vector_identical and backend_identical,
-            "vector_identical": vector_identical,
+            "identical_metrics": backend_identical,
             "backend_identical": backend_identical,
             "devices_per_shard": serial.devices_per_shard,
             "windows": serial.windows,
             "handovers": serial.handovers,
             "ghost_registrations": serial.ghost_registrations,
             "scans": perf.get("scans", 0),
-            "vectorized_scans": perf.get("vectorized_scans", 0),
         },
     )
 
@@ -716,7 +701,7 @@ def run_suite(
             duration_s=300.0,
             repeats=repeats,
         )),
-        # repeats pinned to 1: the four 5000-device legs make this the
+        # repeats pinned to 1: the three 5000-device legs make this the
         # most expensive case in the suite, and its gates are identity
         # checks rather than timing noise
         ("crowd-5000-sharded", True, lambda: bench_sharded_crowd(

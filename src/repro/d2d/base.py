@@ -19,13 +19,15 @@ import math
 import operator
 import time
 import types
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.channel.model import ChannelModel
 from repro.d2d.link import LinkModel
 from repro.energy.model import EnergyModel, EnergyPhase
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
-from repro.mobility.index import SpatialIndex
+from repro.mobility.index import Cell, SpatialIndex
 from repro.mobility.models import MobilityModel, TrajectoryBatch
 from repro.mobility.space import Position, distance_between
 from repro.perf import PerfCounters
@@ -33,17 +35,6 @@ from repro.sim.engine import PeriodicProcess, Simulator
 
 #: Scan-result ordering key (strongest signal first via ``reverse=True``).
 _RSSI_KEY = operator.attrgetter("rssi_dbm")
-
-try:  # numpy powers the vectorized scan path; everything degrades to the
-    # scalar hot loop without it, so it stays an optional accelerator.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the kill switch
-    _np = None
-
-#: Candidate blocks smaller than this run the scalar loop: the fixed
-#: overhead of the numpy calls only pays off once the block is big enough
-#: that most candidates fail the range filter in C instead of Python.
-_VECTOR_MIN_BLOCK = 24
 
 
 class D2DTransferError(RuntimeError):
@@ -324,48 +315,12 @@ class D2DConnection:
         self.medium._break_connection(self, reason)
 
 
-class _SortedCandidateCache:
-    """Memo for the registration-order sort of scan candidate sets.
-
-    The spatial index already caches the *unsorted* merged cell block per
-    ``(cell, k)``; on static crowds every scan from the same neighbourhood
-    then re-filtered and re-sorted that same block. This cache keys the
-    finished (requester-filtered, registration-order-sorted) id list by
-    ``(requester_id, cell, k)`` and stamps it with ``(index version,
-    endpoint count, unindexed-set version)`` — any membership or bin
-    change invalidates every entry. All three components are needed: the
-    index version misses registrations that only touch the unindexable
-    side set, the endpoint count misses a same-window remove+add swap,
-    and the unindexed-set version closes exactly that gap. ``enabled``
-    exists so regression tests can force the re-sort path and prove
-    identical output.
-    """
-
-    __slots__ = ("enabled", "_entries")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self._entries: Dict[tuple, tuple] = {}
-
-    def get(self, key: tuple, stamp: tuple) -> Optional[List[str]]:
-        if not self.enabled:
-            return None
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] == stamp:
-            return entry[1]
-        return None
-
-    def put(self, key: tuple, stamp: tuple, ids: List[str]) -> None:
-        if self.enabled:
-            self._entries[key] = (stamp, ids)
-
-
 class _VectorBlock:
     """Aligned coordinate arrays for one ``(cell, k)`` candidate block.
 
     ``ids`` is the registration-order-sorted merged block (index cells +
     unindexed side set, requester *not* filtered — the block is shared by
-    every requester scanning from the same cell). Static endpoints have
+    every requester scanning from the same cell), whatever its size. Static endpoints have
     their coordinates baked in at build time; dynamic ones are listed in
     ``_dynamic`` and refreshed into the arrays on every scan before the
     numpy distance evaluation.
@@ -375,8 +330,8 @@ class _VectorBlock:
 
     def __init__(self, ids, endpoints, static_pos) -> None:
         n = len(ids)
-        xs = _np.empty(n)
-        ys = _np.empty(n)
+        xs = np.empty(n)
+        ys = np.empty(n)
         static_flags = [False] * n
         dynamic = []
         for i, device_id in enumerate(ids):
@@ -400,7 +355,8 @@ class _VectorBlock:
         ``sqrt(dx*dx + dy*dy)`` elementwise is the exact IEEE-754
         operation sequence :func:`repro.mobility.space.distance_between`
         performs (sub, mul, mul, add, sqrt — each correctly rounded), so
-        every element is bit-identical to the scalar path's distance.
+        every element is bit-identical to the brute-force oracle's
+        distance.
         """
         xs = self.xs
         ys = self.ys
@@ -410,7 +366,7 @@ class _VectorBlock:
             ys[i] = y
         dx = xs - origin[0]
         dy = ys - origin[1]
-        return _np.sqrt(dx * dx + dy * dy)
+        return np.sqrt(dx * dx + dy * dy)
 
 
 class D2DMedium:
@@ -438,11 +394,11 @@ class D2DMedium:
     group_join_discount:
         Fraction of the connection latency/energy a join costs.
     brute_force:
-        Escape hatch: disable the spatial index and scan every endpoint
-        on each discovery, exactly as the pre-index implementation did.
-        Discovery results are byte-identical either way (same peers, same
-        RSSI draws, same order) — the flag exists for the determinism
-        guard and for A/B benchmarking, not because the results differ.
+        Test oracle: disable the spatial index and walk every endpoint
+        on each discovery with the scalar per-peer math. Discovery results
+        are byte-identical either way (same peers, same RSSI draws, same
+        order) — the flag exists so the determinism guard has an
+        independent reference, not because the results differ.
     index_refresh_s:
         How stale the binned positions of *moving* endpoints may get
         before a scan triggers an incremental re-bin pass. Between
@@ -499,28 +455,21 @@ class D2DMedium:
         self.perf = PerfCounters()
         self._endpoints: Dict[str, D2DEndpoint] = {}
         #: device_id → fixed position for endpoints whose mobility model
-        #: has a zero speed bound: their position never changes, so scans
-        #: skip the per-candidate ``position(t)`` call entirely. Clearing
-        #: this dict (tests do) falls back to live position lookups.
+        #: has a zero speed bound: their position never changes, so block
+        #: builds bake it in once instead of calling ``position(t)`` on
+        #: every scan. Clearing this dict (tests do) falls back to live
+        #: position lookups.
         self._static_pos: Dict[str, Position] = {}
-        #: (requester, cell, k) → (stamp, sorted candidate ids); see
-        #: ``_scan_candidates``. ``enabled=False`` forces full re-sorts.
-        self._sorted_cache = _SortedCandidateCache()
-        #: Kill switch for the numpy block-distance scan path. On by
-        #: default when numpy imports; the determinism guard flips it to
-        #: prove scalar and vectorized scans are byte-identical.
-        self.vectorized = _np is not None
-        #: (cell, k) → _VectorBlock | None (None = block below the numpy
-        #: threshold). One *global* stamp covers the whole dict — the
-        #: stamp has no per-key component — so any membership/bin change
-        #: clears it outright, keeping it bounded exactly like the
-        #: index's block cache.
-        self._vector_blocks: Dict[tuple, Optional[_VectorBlock]] = {}
-        self._vector_blocks_stamp: Optional[tuple] = None
-        #: registration order per device — candidate sets from the spatial
-        #: index are re-sorted by this so scans examine peers in exactly
-        #: the order a full walk of ``_endpoints`` would, keeping RSSI
-        #: noise draws and result ordering identical to brute force.
+        #: (cell, k) → memoised candidate block; see ``_block_for``. One
+        #: *global* stamp covers the whole dict — the stamp has no per-key
+        #: component — so any membership/bin change clears it outright,
+        #: bounding it by the distinct blocks scanned since that change.
+        self._blocks: Dict[Tuple[Cell, int], _VectorBlock] = {}
+        self._blocks_stamp: Optional[Tuple[int, int]] = None
+        #: registration order per device — candidate blocks from the
+        #: spatial index are sorted by this so scans examine peers in
+        #: exactly the order a full walk of ``_endpoints`` would, keeping
+        #: RSSI noise draws and result ordering identical to brute force.
         #: ``_next_seq`` is monotonic (never reused after unregister), so
         #: two different registration histories can never collide on a
         #: sequence number.
@@ -537,11 +486,10 @@ class D2DMedium:
         self._mobile_batch: Optional[TrajectoryBatch] = None
         self._mobile_batch_version = -1
         #: endpoints whose mobility model has no known speed bound: the
-        #: index can't promise they stay near their bin, so scans always
-        #: examine them exactly. ``_unindexed_version`` bumps on every
-        #: membership change of this set — it is a cache-stamp component
-        #: because unindexed churn is invisible to both the index version
-        #: and the endpoint count (remove one, add one: both unchanged).
+        #: index can't promise they stay near their bin, so every block
+        #: includes them. ``_unindexed_version`` bumps on every membership
+        #: change of this set — it is a block-memo stamp component because
+        #: unindexed churn is invisible to the index version.
         self._unindexed: Set[str] = set()
         self._unindexed_version = 0
         self._max_mobile_speed = 0.0
@@ -596,10 +544,10 @@ class D2DMedium:
         Breaks its live connections, then drops every trace of it —
         endpoint map, registration sequence, static memo, mobile set,
         unindexed set, spatial index. The sharded kernel churns ghost
-        endpoints through this every sync window, so all the scan-cache
-        stamps must move: the index version covers indexed members, and
+        endpoints through this every sync window, so the block-memo stamp
+        must move: the index version covers indexed members, and
         ``_unindexed_version`` covers the side set (whose churn is
-        invisible to both the index version and the endpoint count).
+        invisible to the index version).
         """
         endpoint = self.endpoint(device_id)
         for connection in list(self._adjacency.get(device_id, ())):
@@ -693,94 +641,29 @@ class D2DMedium:
             t = self.sim.now
             rng = self.sim.rng.get("d2d-discovery") if rssi_noise else None
             found: List[PeerInfo] = []
-            static_pos = self._static_pos
-            origin = static_pos.get(requester_id)
+            origin = self._static_pos.get(requester_id)
             if origin is None:
                 origin = requester.position(t)
             perf = self.perf
             perf.scans += 1
-            # Hot loop: hoist everything invariant out of the candidate walk.
             link = tech.link
-            probe = link.probe
             shadowed = link.shadowed
             estimate_distance = link.estimate_distance
-            max_range = tech.max_range_m
             link_allowed = self.link_allowed
             append = found.append
-            static_get = static_pos.get
-            block = (
-                self._vector_block_for(origin, t)
-                if self.vectorized and self._index is not None
-                else None
-            )
-            if block is not None:
-                # Vectorized path: one numpy pass computes every block
-                # distance and discards the out-of-range majority in C.
-                # Reordering the range filter ahead of the advertising
-                # filter is safe for determinism because the survivor set
-                # of *all* filters — the only candidates that reach the
-                # RSSI noise draw — is order-independent, and survivors
-                # are visited in registration order either way.
-                perf.vectorized_scans += 1
-                ids = block.ids
-                perf.scan_candidates_examined += len(ids) - 1
-                distances = block.distances_from(origin, t)
-                keep = _np.nonzero(distances <= max_range)[0]
-                # .tolist() converts to exact python floats, and
-                # probe_block keeps the per-element math bit-identical to
-                # probe — no numpy scalar ever leaks into a PeerInfo.
-                probed = link.probe_block(distances[keep].tolist())
-                endpoints = self._endpoints
-                static_flags = block.static_flags
-                for j, idx in enumerate(keep.tolist()):
-                    device_id = ids[idx]
-                    if device_id == requester_id:
-                        continue
-                    peer = endpoints[device_id]
-                    if not (peer.advertising and peer.powered_on):
-                        continue
-                    if static_flags[idx]:
-                        perf.static_position_hits += 1
-                    mean_rssi = probed[j]
-                    if mean_rssi is None:
-                        continue
-                    if not link_allowed(requester_id, device_id):
-                        continue
-                    rssi = shadowed(mean_rssi, rng)
-                    append(
-                        PeerInfo(
-                            device_id=device_id,
-                            rssi_dbm=rssi,
-                            estimated_distance_m=estimate_distance(rssi),
-                            advertisement=peer.advertisement_view,
-                        )
+            scan = self._scan_all if self._index is None else self._scan_block
+            for peer, mean_rssi in scan(requester_id, origin, t):
+                if not link_allowed(requester_id, peer.device_id):
+                    continue
+                rssi = shadowed(mean_rssi, rng)
+                append(
+                    PeerInfo(
+                        device_id=peer.device_id,
+                        rssi_dbm=rssi,
+                        estimated_distance_m=estimate_distance(rssi),
+                        advertisement=peer.advertisement_view,
                     )
-            else:
-                for peer in self._scan_candidates(requester_id, origin, t):
-                    if not (peer.advertising and peer.powered_on):
-                        continue
-                    peer_pos = static_get(peer.device_id)
-                    if peer_pos is None:
-                        peer_pos = peer.position(t)
-                    else:
-                        perf.static_position_hits += 1
-                    distance = distance_between(origin, peer_pos)
-                    if distance > max_range:
-                        continue
-                    mean_rssi = probe(distance)
-                    if mean_rssi is None:
-                        continue
-                    if not link_allowed(requester_id, peer.device_id):
-                        continue
-                    rssi = shadowed(mean_rssi, rng)
-                    append(
-                        PeerInfo(
-                            device_id=peer.device_id,
-                            rssi_dbm=rssi,
-                            estimated_distance_m=estimate_distance(rssi),
-                            advertisement=peer.advertisement_view,
-                        )
-                    )
+                )
             # reverse=True keeps insertion order for equal RSSI (stable
             # sort), exactly like the previous ascending negated-key sort.
             found.sort(key=_RSSI_KEY, reverse=True)
@@ -792,73 +675,83 @@ class D2DMedium:
 
         self.sim.schedule(tech.discovery_latency_s, finish, name="d2d_discover")
 
-    def _scan_candidates(
+    def _scan_block(
         self, requester_id: str, origin: Position, t: float
-    ) -> List[D2DEndpoint]:
-        """Endpoints a scan must examine, in registration order.
+    ) -> List[Tuple[D2DEndpoint, float]]:
+        """Advertising peers in range of ``origin`` with their mean RSSI,
+        in registration order.
 
-        With the spatial index on, this is the union of the index's
-        candidate cells (range + drift slack) and the always-checked
-        unindexable set — a superset of every in-range peer, usually a
-        tiny fraction of the crowd. Brute force (or no index) returns
-        everyone. Registration-order iteration keeps the RSSI noise
-        stream and the result ordering identical across both paths.
+        One numpy pass over the memoised candidate block computes every
+        distance and discards the out-of-range majority in C. Filtering
+        range ahead of advertising is safe for determinism: the survivor
+        set of *all* filters — the only candidates that reach the RSSI
+        noise draw — is order-independent, and survivors are visited in
+        registration order either way.
         """
         perf = self.perf
-        index = self._index
-        if index is None:
-            perf.brute_force_scans += 1
-            candidates = [
-                peer
-                for device_id, peer in self._endpoints.items()
-                if device_id != requester_id
-            ]
-            perf.scan_candidates_examined += len(candidates)
-            return candidates
-        self._refresh_index(t)
-        slack = self._max_mobile_speed * (t - self._last_refresh_s)
-        reach = self.technology.max_range_m + slack
-        # Incremental re-sort: the filtered, registration-order-sorted id
-        # list for a (requester, cell block) pair is cached and reused
-        # while neither the index nor the endpoint set has changed —
-        # mirrors query_block's (cell, k) key so the cache is exact.
-        cell = index._cell_of(origin)
-        k = max(0, math.ceil(reach / index.cell_size_m))
-        cache_key = (requester_id, cell, k)
-        stamp = (index._version, len(self._endpoints), self._unindexed_version)
-        cached_ids = self._sorted_cache.get(cache_key, stamp)
-        if cached_ids is not None:
-            perf.sorted_cache_hits += 1
-            ids = cached_ids
-        else:
-            # query_block returns a cached, shared list — never mutate it;
-            # the requester filter below rebinds to a fresh list either way.
-            ids = index.query_block(origin, self.technology.max_range_m, slack)
-            if self._unindexed:
-                merged = set(ids)
-                merged.update(self._unindexed)
-                ids = list(merged)
-            ids = [device_id for device_id in ids if device_id != requester_id]
-            ids.sort(key=self._seq.__getitem__)
-            self._sorted_cache.put(cache_key, stamp, ids)
-            # counted only on the miss path: a sorted-cache hit never
-            # touches the index, so hits and queries stay disjoint.
-            perf.index_queries += 1
-        perf.index_block_cache_hits = index.block_cache_hits
-        perf.scan_candidates_examined += len(ids)
+        block = self._block_for(origin, t)
+        ids = block.ids
+        # the block always holds the requester itself, which is no candidate
+        perf.scan_candidates_examined += len(ids) - 1
+        distances = block.distances_from(origin, t)
+        keep = np.nonzero(distances <= self.technology.max_range_m)[0]
+        # .tolist() converts to exact python floats, and probe_block keeps
+        # the per-element math bit-identical to probe — no numpy scalar
+        # ever leaks into a PeerInfo.
+        probed = self.technology.link.probe_block(distances[keep].tolist())
         endpoints = self._endpoints
-        return [endpoints[device_id] for device_id in ids]
+        static_flags = block.static_flags
+        survivors = []
+        for idx, mean_rssi in zip(keep.tolist(), probed):
+            device_id = ids[idx]
+            if device_id == requester_id:
+                continue
+            peer = endpoints[device_id]
+            if not (peer.advertising and peer.powered_on):
+                continue
+            if static_flags[idx]:
+                perf.static_position_hits += 1
+            if mean_rssi is not None:
+                survivors.append((peer, mean_rssi))
+        return survivors
 
-    def _vector_block_for(
-        self, origin: Position, t: float
-    ) -> Optional[_VectorBlock]:
-        """The shared coordinate block for scans from ``origin``'s cell.
+    def _scan_all(
+        self, requester_id: str, origin: Position, t: float
+    ) -> List[Tuple[D2DEndpoint, float]]:
+        """Brute-force oracle for :meth:`_scan_block`: walk every endpoint
+        with the scalar per-peer math (:func:`distance_between`,
+        :meth:`LinkModel.probe`). It shares no index, memo or numpy code
+        with the block scan, which is what makes it the independent
+        reference the determinism guard compares against."""
+        perf = self.perf
+        perf.brute_force_scans += 1
+        perf.scan_candidates_examined += len(self._endpoints) - 1
+        max_range = self.technology.max_range_m
+        probe = self.technology.link.probe
+        survivors = []
+        for device_id, peer in self._endpoints.items():
+            if device_id == requester_id:
+                continue
+            if not (peer.advertising and peer.powered_on):
+                continue
+            distance = distance_between(origin, peer.position(t))
+            if distance > max_range:
+                continue
+            mean_rssi = probe(distance)
+            if mean_rssi is not None:
+                survivors.append((peer, mean_rssi))
+        return survivors
 
-        ``None`` when the merged block is below ``_VECTOR_MIN_BLOCK`` —
-        the too-small verdict is memoised per ``(cell, k)`` so boundary
-        scans don't re-derive it every time. The whole dict is cleared
-        when the (global) stamp moves, which bounds it by the number of
-        distinct blocks scanned since the last membership/bin change.
+    def _block_for(self, origin: Position, t: float) -> _VectorBlock:
+        """The memoised candidate block for scans from ``origin``'s cell.
+
+        The union of the index's ``(cell, k)`` block (range + drift
+        slack) and the always-checked unindexable set, sorted by
+        registration — a superset of every in-range peer, usually a tiny
+        fraction of the crowd. Memoised per ``(cell, k)``; the whole memo
+        is cleared when the (global) stamp moves, which bounds it by the
+        number of distinct blocks scanned since the last membership/bin
+        change.
         """
         index = self._index
         self._refresh_index(t)
@@ -866,29 +759,23 @@ class D2DMedium:
         max_range = self.technology.max_range_m
         cell = index._cell_of(origin)
         k = max(0, math.ceil((max_range + slack) / index.cell_size_m))
-        stamp = (index._version, len(self._endpoints), self._unindexed_version)
-        blocks = self._vector_blocks
-        if stamp != self._vector_blocks_stamp:
+        stamp = (index._version, self._unindexed_version)
+        blocks = self._blocks
+        if stamp != self._blocks_stamp:
             blocks.clear()
-            self._vector_blocks_stamp = stamp
+            self._blocks_stamp = stamp
         key = (cell, k)
-        if key in blocks:
-            return blocks[key]
-        perf = self.perf
+        block = blocks.get(key)
+        if block is not None:
+            return block
         ids = index.query_block(origin, max_range, slack)
         if self._unindexed:
-            merged = set(ids)
-            merged.update(self._unindexed)
-            ids = list(merged)
-        perf.index_queries += 1
-        perf.index_block_cache_hits = index.block_cache_hits
-        if len(ids) < _VECTOR_MIN_BLOCK:
-            blocks[key] = None
-            return None
-        # query_block's list is shared — sorted() rebinds, never mutates.
+            ids = set(ids)
+            ids.update(self._unindexed)
         ids = sorted(ids, key=self._seq.__getitem__)
-        block = _VectorBlock(ids, self._endpoints, self._static_pos)
-        blocks[key] = block
+        block = blocks[key] = _VectorBlock(ids, self._endpoints, self._static_pos)
+        perf = self.perf
+        perf.index_queries += 1
         perf.vector_block_builds += 1
         return block
 
@@ -899,7 +786,7 @@ class D2DMedium:
         straight-line movers are evaluated in one numpy multiply-add
         instead of N ``position()`` calls. Update order (affine block
         first, then the exact remainder) differs from dict order, but the
-        index only bins candidates — scan paths re-sort by registration
+        index only bins candidates — blocks are sorted by registration
         sequence — so discovery output is unaffected.
         """
         if not self._mobile or t - self._last_refresh_s < self.index_refresh_s:

@@ -98,8 +98,8 @@ class LinkModel:
         :func:`rssi_at` on purpose — ``numpy.log10`` is not guaranteed
         correctly rounded, and the sensitivity cutoff sits on the result,
         so a last-ulp difference could flip a candidate in or out of
-        range and desynchronize the RSSI noise stream between the
-        vectorized and scalar scan paths.
+        range and desynchronize the RSSI noise stream between the block
+        scan and the brute-force oracle, which calls :meth:`probe`.
         """
         tx = self.tx_power_dbm
         ref_db = self.path_loss_at_ref_db

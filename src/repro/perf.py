@@ -34,13 +34,10 @@ class PerfCounters:
         "scan_cache_served",
         "brute_force_scans",
         "index_queries",
-        "index_block_cache_hits",
         "index_updates",
         "index_moves",
         "index_rebuild_passes",
         "static_position_hits",
-        "sorted_cache_hits",
-        "vectorized_scans",
         "vector_block_builds",
         "_timers",
     )
@@ -55,25 +52,21 @@ class PerfCounters:
         #: discovery requests served from a detector's still-fresh cache
         #: (no radio work at all — the cheapest scan is the one not made)
         self.scan_cache_served = 0
-        #: scans that walked every endpoint (escape hatch / no index)
+        #: scans that walked every endpoint (the brute-force oracle)
         self.brute_force_scans = 0
-        #: spatial-index range queries issued
+        #: spatial-index block queries issued (one per candidate-block build)
         self.index_queries = 0
-        #: queries served from the index's version-stamped block cache
-        self.index_block_cache_hits = 0
         #: incremental position updates applied to the index
         self.index_updates = 0
         #: updates that actually crossed a cell boundary
         self.index_moves = 0
         #: lazy refresh passes over the mobile-endpoint set
         self.index_rebuild_passes = 0
-        #: per-candidate position() calls skipped for static endpoints
+        #: in-range candidates whose coordinates came baked into the block
+        #: (static endpoints: no position() call on the scan)
         self.static_position_hits = 0
-        #: scans whose candidate sort was served from the re-sort memo
-        self.sorted_cache_hits = 0
-        #: scans whose distance math ran on the numpy block path
-        self.vectorized_scans = 0
-        #: aligned coordinate-block (re)builds behind vectorized scans
+        #: candidate-block (re)builds behind indexed scans; every other
+        #: indexed scan reuses a memoised block
         self.vector_block_builds = 0
         self._timers: Dict[str, float] = {}
 
@@ -119,13 +112,10 @@ class PerfCounters:
             "scan_cache_served": self.scan_cache_served,
             "brute_force_scans": self.brute_force_scans,
             "index_queries": self.index_queries,
-            "index_block_cache_hits": self.index_block_cache_hits,
             "index_updates": self.index_updates,
             "index_moves": self.index_moves,
             "index_rebuild_passes": self.index_rebuild_passes,
             "static_position_hits": self.static_position_hits,
-            "sorted_cache_hits": self.sorted_cache_hits,
-            "vectorized_scans": self.vectorized_scans,
             "vector_block_builds": self.vector_block_builds,
             "mean_candidates_per_scan": self.mean_candidates_per_scan,
         }

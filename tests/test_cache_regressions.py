@@ -1,16 +1,16 @@
-"""Regression tests for two latent discovery-cache bugs.
+"""Regression tests for the discovery block memo's two latent bugs.
 
-Both caches sit on the scan hot path and both had stamps that missed a
-class of invalidating change:
+``D2DMedium`` memoises one sorted candidate block per ``(cell, k)``. Two
+bugs once lived in discovery caches of this shape:
 
-1. ``D2DMedium``'s sorted-candidate cache stamped entries with
-   ``(index version, endpoint count)`` — blind to *unindexed-set churn*.
-   Unregistering one unindexable device and registering another in the
-   same window leaves both components unchanged, so scans served a stale
-   id list (omitting the newcomer, and KeyError-ing on the departed id).
-2. ``SpatialIndex._block_cache`` never evicted stale-version entries, so
-   a mobile crowd querying from ever-new cells grew the cache without
-   bound over a long run.
+1. A stamp of ``(index version, endpoint count)`` is blind to
+   *unindexed-set churn*. Unregistering one unindexable device and
+   registering another in the same window leaves both components
+   unchanged, so scans served a stale id list (omitting the newcomer,
+   and KeyError-ing on the departed id).
+2. Stale-stamp entries that are never evicted let a mobile crowd
+   scanning from ever-new cells grow the memo without bound over a long
+   run.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import pytest
 
 from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
-from repro.mobility.index import SpatialIndex
-from repro.mobility.models import MobilityModel, StaticMobility
+from repro.mobility.models import LinearMobility, MobilityModel, StaticMobility
 from repro.sim.engine import Simulator
 
 
@@ -52,7 +51,7 @@ def _scan(medium, sim, requester_id, horizon):
 class TestSortedCandidateStamp:
     def test_swapping_unindexable_endpoints_is_visible_to_scans(self):
         """Unregister one unindexable peer, register another: the next
-        scan must discover the newcomer, not serve the stale id list
+        scan must discover the newcomer, not serve the stale block
         (index version and endpoint count are both unchanged by the swap,
         so only the unindexed-membership stamp component catches it)."""
         sim = Simulator(seed=1)
@@ -73,9 +72,13 @@ class TestSortedCandidateStamp:
 
         found = _scan(medium, sim, "scanner", 6.0)
         assert [p.device_id for p in found] == ["peer-b"]
+        # the swap forced a rebuild: one block per membership state
+        assert medium.perf.vector_block_builds == 2
 
     def test_sorted_cache_still_hits_when_membership_is_stable(self):
-        """The widened stamp must not break the cache's happy path."""
+        """The widened stamp must not break the block memo's happy path:
+        with the unindexed membership unchanged, a repeat scan reuses the
+        block instead of rebuilding it."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         scanner = D2DEndpoint("scanner", StaticMobility((0.0, 0.0)))
@@ -86,7 +89,7 @@ class TestSortedCandidateStamp:
 
         _scan(medium, sim, "scanner", 3.0)
         _scan(medium, sim, "scanner", 6.0)
-        assert medium.perf.sorted_cache_hits == 1
+        assert medium.perf.vector_block_builds == 1
 
     def test_unregister_breaks_connections_and_forgets_the_endpoint(self):
         sim = Simulator(seed=1)
@@ -109,8 +112,6 @@ class TestSortedCandidateStamp:
         medium.register(D2DEndpoint("b", StaticMobility((4.0, 0.0))))
 
     def test_unregister_indexed_mobile_endpoint_drops_it_from_the_index(self):
-        from repro.mobility.models import LinearMobility
-
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
@@ -125,23 +126,34 @@ class TestSortedCandidateStamp:
 
 class TestBlockCacheBound:
     def test_block_cache_stays_bounded_under_sustained_movement(self):
-        """A mover querying from ever-new cells must not accumulate one
-        cache entry per cell it ever visited."""
-        index = SpatialIndex(50.0)
-        index.insert("walker", (0.0, 0.0))
-        pos = (0.0, 0.0)
+        """A mover scanning from ever-new cells must not accumulate one
+        memoised block per cell it ever visited."""
+        sim = Simulator(seed=1)
+        medium = D2DMedium(sim, WIFI_DIRECT)
+        period_s = 5.0  # longer than the discovery latency
+        speed = medium._index.cell_size_m / period_s
+        walker = D2DEndpoint("walker", LinearMobility((0.0, 0.0), (speed, 0.0)))
+        medium.register(walker)
         for step in range(1, 201):
-            pos = (step * 75.0, 0.0)  # crosses a cell boundary every step
-            index.update("walker", pos)
-            index.query_block(pos, 50.0)
-        assert len(index._block_cache) <= 4
+            # one cell per scan: every scan is rebinned into a new cell
+            _scan(medium, sim, "walker", step * period_s)
+            assert len(medium._blocks) <= 1
+        assert medium.perf.vector_block_builds > 100
 
     def test_block_cache_still_serves_repeat_queries(self):
-        """Eviction on version bump must not cost the static-crowd win."""
-        index = SpatialIndex(50.0)
-        index.insert("a", (10.0, 10.0))
-        index.insert("b", (20.0, 10.0))
-        first = index.query_block((12.0, 12.0), 50.0)
-        again = index.query_block((12.0, 12.0), 50.0)
-        assert again is first
-        assert index.block_cache_hits == 1
+        """Eviction on a stamp move must not cost the static-crowd win:
+        repeat scans from one cell reuse its block instead of rebuilding."""
+        sim = Simulator(seed=1)
+        medium = D2DMedium(sim, WIFI_DIRECT)
+        medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
+        for i, x in enumerate((5.0, 15.0)):
+            peer = D2DEndpoint(f"peer-{i}", StaticMobility((x, 0.0)))
+            peer.advertising = True
+            medium.register(peer)
+
+        first = _scan(medium, sim, "scanner", 3.0)
+        again = _scan(medium, sim, "scanner", 6.0)
+        assert [p.device_id for p in first] == ["peer-0", "peer-1"]
+        assert [p.device_id for p in again] == ["peer-0", "peer-1"]
+        assert medium.perf.scans == 2
+        assert medium.perf.vector_block_builds == 1

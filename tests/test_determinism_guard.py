@@ -19,13 +19,27 @@ from repro.sim.engine import Simulator
 SEEDS = (0, 1, 2)
 
 
-def _run_discovery_rounds(seed, brute_force, tweak=None):
+def _crowd_position(i):
+    return (float((i * 37) % 240), float((i * 59) % 240))
+
+
+def _sparse_position(i):
+    """Ten 3-device clusters 200 m apart, so every candidate block holds
+    only a handful of devices."""
+    cluster, member = divmod(i, 3)
+    return (
+        200.0 * (cluster % 5) + 15.0 * member,
+        200.0 * (cluster // 5) + 10.0 * member,
+    )
+
+
+def _run_discovery_rounds(seed, brute_force, tweak=None, place=_crowd_position):
     """Scatter endpoints (static + mobile), run repeated interleaved scans,
     and return every (scan, peer, rssi, distance) observation in order."""
     sim = Simulator(seed=seed)
     medium = D2DMedium(sim, WIFI_DIRECT, brute_force=brute_force)
     for i in range(30):
-        pos = (float((i * 37) % 240), float((i * 59) % 240))
+        pos = place(i)
         if i % 5 == 0:
             mobility = LinearMobility(pos, (2.0, -1.5))
         else:
@@ -106,19 +120,14 @@ class TestCrowdMetricsIdentity:
 class TestScanFastPathIdentity:
     """The discovery fast paths are accelerations, never behaviour.
 
-    Static-position memoisation and the sorted-candidate cache each have
-    a kill switch; with either (or both) off, every scan must produce
-    the identical observation stream — same peers, same RSSI draws, same
+    With static-position memoisation off, every scan must produce the
+    identical observation stream — same peers, same RSSI draws, same
     ordering.
     """
 
     @staticmethod
     def _no_memo(medium):
         medium._static_pos.clear()
-
-    @staticmethod
-    def _no_sorted_cache(medium):
-        medium._sorted_cache.enabled = False
 
     def test_static_position_memo_is_pure_acceleration(self):
         for seed in SEEDS:
@@ -130,22 +139,13 @@ class TestScanFastPathIdentity:
             assert fast_events == slow_events
             assert fast, f"seed {seed} produced no observations (vacuous)"
 
-    def test_sorted_candidate_cache_is_pure_acceleration(self):
-        for seed in SEEDS:
-            fast, fast_events = _run_discovery_rounds(seed, brute_force=False)
-            slow, slow_events = _run_discovery_rounds(
-                seed, brute_force=False, tweak=self._no_sorted_cache
-            )
-            assert fast == slow, f"cached re-sort diverged for seed {seed}"
-            assert fast_events == slow_events
-
     def test_fast_paths_actually_fire_in_static_crowds(self):
         result = run_crowd_scenario(
             n_devices=30, duration_s=120.0, seed=0, mobile_fraction=0.0
         )
         assert result.metrics.perf["static_position_hits"] > 0
 
-    def test_repeat_scans_hit_the_sorted_cache(self):
+    def test_repeat_scans_reuse_the_block_memo(self):
         sim = Simulator(seed=0)
         medium = D2DMedium(sim, WIFI_DIRECT)
         for i in range(12):
@@ -159,9 +159,10 @@ class TestScanFastPathIdentity:
         for start in (0.0, 10.0, 20.0):
             sim.schedule_at(start, medium.discover, "s0", lambda peers: None)
         sim.run_until(30.0)
-        # First scan populates the cache; the static crowd never
+        # First scan builds the block; the static crowd never
         # invalidates it, so the two repeats must be served from it.
-        assert medium.perf.sorted_cache_hits == 2
+        assert medium.perf.scans == 3
+        assert medium.perf.vector_block_builds == 1
 
     def test_memo_stays_off_for_mobile_endpoints(self):
         sim = Simulator(seed=0)
@@ -185,45 +186,41 @@ class TestScanFastPathIdentity:
 
 
 class TestVectorizedScanIdentity:
-    """The numpy block-scan path is an acceleration, never behaviour.
+    """The numpy block scan must match the scalar brute-force oracle.
 
-    ``medium.vectorized = False`` is the kill switch: with it off, every
-    scan takes the scalar per-peer loop. Both paths must produce
-    byte-identical run metrics — same survivors, same RSSI draws in the
-    same registration order.
+    Blocks of every size take the numpy path, so both a crowd (big
+    blocks) and a sparse rig (blocks of a handful of candidates) are
+    checked — same survivors, same RSSI draws in the same registration
+    order.
     """
 
-    @staticmethod
-    def _no_vector(context, devices):
-        context.medium.vectorized = False
-
-    def test_vectorized_scan_is_pure_acceleration(self):
+    def test_vectorized_matches_brute_force(self):
         for seed in SEEDS:
             kwargs = dict(
                 n_devices=120, relay_fraction=0.2, duration_s=240.0,
                 hotspots=4, mobile_fraction=0.2, seed=seed,
             )
-            fast = run_crowd_scenario(**kwargs)
-            slow = run_crowd_scenario(pre_run=self._no_vector, **kwargs)
+            vectorized = run_crowd_scenario(brute_force=False, **kwargs)
+            brute = run_crowd_scenario(brute_force=True, **kwargs)
             assert (
-                fast.metrics.to_comparable_dict()
-                == slow.metrics.to_comparable_dict()
+                vectorized.metrics.to_comparable_dict()
+                == brute.metrics.to_comparable_dict()
             ), f"vectorized scan diverged for seed {seed}"
-            # sanity: the two runs really took different code routes
-            assert fast.metrics.perf["vectorized_scans"] > 0
-            assert slow.metrics.perf["vectorized_scans"] == 0
 
-    def test_vectorized_matches_brute_force(self):
-        kwargs = dict(
-            n_devices=120, relay_fraction=0.2, duration_s=240.0,
-            hotspots=4, mobile_fraction=0.2, seed=0,
-        )
-        vectorized = run_crowd_scenario(brute_force=False, **kwargs)
-        brute = run_crowd_scenario(brute_force=True, **kwargs)
-        assert (
-            vectorized.metrics.to_comparable_dict()
-            == brute.metrics.to_comparable_dict()
-        )
+    def test_small_blocks_match_brute_force(self):
+        for seed in SEEDS:
+            media = []
+            indexed, indexed_events = _run_discovery_rounds(
+                seed, brute_force=False, tweak=media.append, place=_sparse_position
+            )
+            brute, brute_events = _run_discovery_rounds(
+                seed, brute_force=True, place=_sparse_position
+            )
+            assert indexed == brute, f"small-block scan diverged for seed {seed}"
+            assert indexed_events == brute_events
+            assert indexed, f"seed {seed} produced no observations (vacuous)"
+            blocks = media[0]._blocks.values()
+            assert blocks and all(len(block.ids) < 24 for block in blocks)
 
 
 class TestShardedKernelIdentity:

@@ -47,7 +47,6 @@ class TestEventQueue:
         event = queue.push(1.0, _noop, name="cancelled")
         queue.push(2.0, _noop, name="live")
         event.cancel()
-        queue.note_cancelled()
         assert queue.pop().name == "live"
 
     def test_pop_empty_returns_none(self):
@@ -65,7 +64,6 @@ class TestEventQueue:
         head = queue.push(1.0, _noop)
         queue.push(4.0, _noop)
         head.cancel()
-        queue.note_cancelled()
         assert queue.peek_time() == 4.0
 
     def test_len_tracks_live_events(self):
@@ -75,7 +73,6 @@ class TestEventQueue:
         queue.push(2.0, _noop)
         assert len(queue) == 2 and queue
         event.cancel()
-        queue.note_cancelled()
         assert len(queue) == 1
 
     def test_args_are_passed_through(self):
@@ -92,15 +89,15 @@ class TestLiveCountBookkeeping:
 
     Bookkeeping lives in ``Event.cancel`` itself (the event knows its
     owning queue), so user code holding a handle can cancel directly —
-    without ``Simulator.cancel`` or the old ``note_cancelled`` protocol —
-    and ``len(queue)`` stays truthful.
+    without going through ``Simulator.cancel`` — and ``len(queue)`` stays
+    truthful.
     """
 
     def test_direct_cancel_decrements_live_count(self):
         queue = EventQueue()
         event = queue.push(1.0, _noop)
         queue.push(2.0, _noop)
-        event.cancel()  # no note_cancelled() — the old API's drift bug
+        event.cancel()  # not via Simulator.cancel — the old drift bug
         assert len(queue) == 1
 
     def test_double_cancel_decrements_once(self):
@@ -109,14 +106,6 @@ class TestLiveCountBookkeeping:
         queue.push(2.0, _noop)
         event.cancel()
         event.cancel()
-        assert len(queue) == 1
-
-    def test_cancel_then_note_cancelled_does_not_double_count(self):
-        queue = EventQueue()
-        event = queue.push(1.0, _noop)
-        queue.push(2.0, _noop)
-        event.cancel()
-        queue.note_cancelled()  # legacy callers still do this; now a no-op
         assert len(queue) == 1
 
     def test_cancel_after_pop_does_not_touch_live_count(self):
