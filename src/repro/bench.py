@@ -30,13 +30,12 @@ Cases
   merging to byte-identical metrics.
 - ``crowd-20000-balanced`` — the shard-planning case (skipped in
   ``--quick``): a 20000-device hotspot crowd on the sharded kernel at
-  ``shards=4``, column bands vs load-balanced tiles. Reports per-plan
-  device skew, per-shard work and barrier waits, and two speedups: wall
-  (what this box saw) and **critical path** (sum over windows of the
-  slowest shard's work — the wall time a one-core-per-shard machine
-  would see; core-count independent, so CI gates on it). The tile
-  plan's byte-identity across backends is pinned by the determinism
-  guard at small scale, not re-paid at this size.
+  ``shards=4`` with the load-balanced tile plan. Reports device skew
+  (CI gates it), per-shard work and barrier waits, and the **critical
+  path** (sum over windows of the slowest shard's work — the wall time
+  a one-core-per-shard machine would see). The tile plan's
+  byte-identity across backends is pinned by the determinism guard at
+  small scale, not re-paid at this size.
 
 Timing discipline: every timed run repeats ``repeats`` times and keeps
 the **minimum** wall time per mode — the standard way to strip scheduler
@@ -74,13 +73,6 @@ STORM_TARGET_SPEEDUP = 5.0
 #: The case CI's regression gate compares between report and baseline.
 GATE_CASE = "crowd-200"
 
-#: Allowed relative bands-vs-tiles delivery difference on the balanced
-#: case. Shard borders restrict D2D matching, so a few horizon-edge
-#: beats legitimately ride the direct uplink under one plan and a relay
-#: buffer under the other; anything beyond half a percent means the
-#: partition changed simulation outcomes for real.
-_DELIVERY_TOLERANCE = 0.005
-
 #: Per-case speedup-ratio gates for :func:`compare_reports`. A case is
 #: gated only when it appears in *both* the current report and the
 #: baseline, so partial (``--only``) runs gate exactly what they ran.
@@ -88,7 +80,6 @@ GATE_RATIOS: Dict[str, str] = {
     GATE_CASE: "speedup",
     "crowd-500-storm": "speedup",
     "crowd-5000-sharded": "speedup_sharded",
-    "crowd-20000-balanced": "speedup_tiles_critical",
 }
 
 
@@ -552,27 +543,20 @@ def bench_balanced_crowd(
     shards: int,
     repeats: int,
 ) -> CaseResult:
-    """Shard planning: column bands vs load-balanced tiles at crowd scale.
+    """Shard planning: the load-balanced tile plan at crowd scale.
 
-    The same hotspot crowd runs on the sharded kernel twice, once per
-    partition plan. The headline number is the **critical-path speedup**
-    — per window, the slowest shard sets the sync barrier, so the sum of
-    per-window maxima is the wall time a one-core-per-shard machine
-    needs; that ratio measures what the planner controls (load skew) and
-    holds on any host, unlike the wall ratio on a box with fewer cores
-    than shards. ``cpus`` in the detail says which reading applies to
-    the wall numbers. Byte-identity of the tile plan (serial vs process,
-    replay) is pinned by the determinism guard at small scale; this case
-    additionally cross-checks that both plans deliver near-identical
-    heartbeat counts (``delivery_close``). Exact equality is *not* the
-    invariant: shard borders restrict D2D matching, so a handful of
-    beats near the run horizon ride the direct uplink under one plan and
-    sit in a relay buffer under the other — a documented horizon-edge
-    effect bounded by ``_DELIVERY_TOLERANCE``, not a partition bug.
+    A hotspot crowd runs on the sharded kernel with the tile plan. The
+    headline numbers are the plan's **device skew** (max/mean devices
+    per shard, which CI gates) and the **critical path** — per window,
+    the slowest shard sets the sync barrier, so the sum of per-window
+    maxima is the wall time a one-core-per-shard machine needs. ``cpus``
+    in the detail says how to read the wall numbers. Byte-identity of
+    the tile plan (serial vs process, replay) is pinned by the
+    determinism guard at small scale.
     """
     from repro.shard import run_crowd_scenario_sharded
 
-    def run(plan: str):
+    def run():
         return run_crowd_scenario_sharded(
             n_devices=n_devices,
             relay_fraction=0.2,
@@ -582,27 +566,18 @@ def bench_balanced_crowd(
             hotspot_spread_m=60.0,
             mobile_fraction=0.1,
             # seed 2, not 0: the 12-hotspot draw must actually land
-            # unevenly across the column bands or the case demonstrates
-            # nothing (seed 0 spreads the hotspots almost uniformly)
+            # unevenly across the arena or the planner has nothing to
+            # balance (seed 0 spreads the hotspots almost uniformly)
             seed=2,
             shards=shards,
             cells_x=10,
             cells_y=4,
             sync_window_s=10.0,
             storm_scan_period_s=10.0,
-            shard_plan=plan,
         )
 
-    bands_wall, bands = _best_of(lambda: run("bands"), repeats)
-    tiles_wall, tiles = _best_of(lambda: run("tiles"), repeats)
-    bands_delivery = bands.metrics.delivery
+    tiles_wall, tiles = _best_of(run, repeats)
     tiles_delivery = tiles.metrics.delivery
-    delivery_rel_diff = max(
-        abs(bands_delivery.received - tiles_delivery.received)
-        / max(1, bands_delivery.received),
-        abs(bands_delivery.on_time - tiles_delivery.on_time)
-        / max(1, bands_delivery.on_time),
-    )
     tiles_perf = tiles.metrics.perf or {}
     return CaseResult(
         name=name,
@@ -611,31 +586,14 @@ def bench_balanced_crowd(
             "n_devices": n_devices,
             "shards": shards,
             "cpus": os.cpu_count(),
-            "bands_wall_s": bands_wall,
             "tiles_wall_s": tiles_wall,
-            "bands_critical_path_s": bands.critical_path_s,
             "tiles_critical_path_s": tiles.critical_path_s,
-            "bands_total_work_s": bands.total_work_s,
             "tiles_total_work_s": tiles.total_work_s,
-            "speedup_tiles_wall": (
-                bands_wall / tiles_wall if tiles_wall > 0 else 0.0
-            ),
-            "speedup_tiles_critical": (
-                bands.critical_path_s / tiles.critical_path_s
-                if tiles.critical_path_s > 0 else 0.0
-            ),
-            "bands_devices_per_shard": bands.devices_per_shard,
             "tiles_devices_per_shard": tiles.devices_per_shard,
-            "bands_device_skew": bands.device_skew,
             "tiles_device_skew": tiles.device_skew,
-            "bands_shard_load": bands.shard_load,
             "tiles_shard_load": tiles.shard_load,
-            "bands_received": bands_delivery.received,
-            "bands_on_time": bands_delivery.on_time,
             "tiles_received": tiles_delivery.received,
             "tiles_on_time": tiles_delivery.on_time,
-            "delivery_rel_diff": delivery_rel_diff,
-            "delivery_close": delivery_rel_diff <= _DELIVERY_TOLERANCE,
             "timer_discover_s": tiles_perf.get("timer_discover_s"),
             "timer_transfer_s": tiles_perf.get("timer_transfer_s"),
             "timer_energy_s": tiles_perf.get("timer_energy_s"),
@@ -711,8 +669,8 @@ def run_suite(
             shards=2,
             repeats=1,
         )),
-        # repeats pinned to 1 like the 5000-device case: two 20000-device
-        # legs, and the gate is a ratio of two runs on the same box
+        # repeats pinned to 1 like the 5000-device case: a 20000-device
+        # run, and its gate is the planner's skew, not timing
         ("crowd-20000-balanced", True, lambda: bench_balanced_crowd(
             "crowd-20000-balanced",
             n_devices=20_000,
@@ -785,8 +743,7 @@ def compare_reports(
     runs gate what they ran), except :data:`GATE_CASE`, which must be in
     any full report and stays mandatory whenever the current report
     contains it. Also fails on any case whose determinism identity check
-    (``identical_metrics``) or delivery cross-check (``delivery_close``)
-    failed, regardless of baseline.
+    (``identical_metrics``) failed, regardless of baseline.
     """
     failures: List[str] = []
     if current.get("schema") != baseline.get("schema"):
@@ -801,12 +758,6 @@ def compare_reports(
             failures.append(
                 f"{name}: runs that must match diverged — "
                 "determinism contract broken"
-            )
-        if case.get("delivery_close") is False:
-            failures.append(
-                f"{name}: partition plans delivered different heartbeat "
-                "counts (beyond the horizon-edge tolerance) — plan "
-                "choice changed simulation outcomes"
             )
     if GATE_CASE not in current_cases and not current.get("only"):
         # a full suite run must contain the mandatory gate case; only a

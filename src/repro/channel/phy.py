@@ -9,7 +9,8 @@ interference over a thermal noise floor) with the repo's
 
 Everything here is deterministic so channel-mode runs stay replayable
 from ``(scenario, seed)``; shadowing randomness lives in the discovery
-path (:meth:`LinkModel.shadowed`), never in capacity computation.
+path (:meth:`~repro.d2d.base.D2DMedium.discover`), never in capacity
+computation.
 """
 
 from __future__ import annotations

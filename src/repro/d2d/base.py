@@ -32,8 +32,22 @@ from repro.mobility.models import MobilityModel, TrajectoryBatch
 from repro.mobility.space import Position, distance_between
 from repro.perf import PerfCounters
 from repro.sim.engine import PeriodicProcess, Simulator
+from repro.sim.rng import _derive_seed, key64, keyed_normal
 
-#: Scan-result ordering key (strongest signal first via ``reverse=True``).
+#: Odd 64-bit multiplier spreading the 1 s shadowing slot over the salt.
+_SLOT_MIX = 0xD6E8FEB86659FD93
+_MASK64 = (1 << 64) - 1
+
+
+def shadowing_salt(seed: int) -> int:
+    """Base salt of the keyed shadowing draws of experiment ``seed``."""
+    return _derive_seed(seed, "d2d-shadowing")
+
+
+#: Scan results sort by device id, then stably by RSSI descending: the
+#: strongest signal first, equal RSSI in device-id order. Two C-keyed
+#: sorts cost less than one Python tuple key.
+_ID_KEY = operator.attrgetter("device_id")
 _RSSI_KEY = operator.attrgetter("rssi_dbm")
 
 
@@ -318,9 +332,9 @@ class D2DConnection:
 class _VectorBlock:
     """Aligned coordinate arrays for one ``(cell, k)`` candidate block.
 
-    ``ids`` is the registration-order-sorted merged block (index cells +
-    unindexed side set, requester *not* filtered — the block is shared by
-    every requester scanning from the same cell), whatever its size. Static endpoints have
+    ``ids`` is the merged block (index cells + unindexed side set,
+    requester *not* filtered — the block is shared by every requester
+    scanning from the same cell), whatever its size. Static endpoints have
     their coordinates baked in at build time; dynamic ones are listed in
     ``_dynamic`` and refreshed into the arrays on every scan before the
     numpy distance evaluation.
@@ -395,10 +409,10 @@ class D2DMedium:
         Fraction of the connection latency/energy a join costs.
     brute_force:
         Test oracle: disable the spatial index and walk every endpoint
-        on each discovery with the scalar per-peer math. Discovery results
-        are byte-identical either way (same peers, same RSSI draws, same
-        order) — the flag exists so the determinism guard has an
-        independent reference, not because the results differ.
+        on each discovery with scalar distances. Discovery results are
+        byte-identical either way (same peers, same RSSI, same order) —
+        the flag exists so the determinism guard has an independent
+        reference, not because the results differ.
     index_refresh_s:
         How stale the binned positions of *moving* endpoints may get
         before a scan triggers an incremental re-bin pass. Between
@@ -466,15 +480,12 @@ class D2DMedium:
         #: bounding it by the distinct blocks scanned since that change.
         self._blocks: Dict[Tuple[Cell, int], _VectorBlock] = {}
         self._blocks_stamp: Optional[Tuple[int, int]] = None
-        #: registration order per device — candidate blocks from the
-        #: spatial index are sorted by this so scans examine peers in
-        #: exactly the order a full walk of ``_endpoints`` would, keeping
-        #: RSSI noise draws and result ordering identical to brute force.
-        #: ``_next_seq`` is monotonic (never reused after unregister), so
-        #: two different registration histories can never collide on a
-        #: sequence number.
-        self._seq: Dict[str, int] = {}
-        self._next_seq = 0
+        #: device_id → 64-bit shadowing key (see ``discover``)
+        self._keys: Dict[str, int] = {}
+        #: Base salt of the keyed shadowing draws, derived from the
+        #: experiment seed. The sharded kernel re-keys it on the master
+        #: seed so a link's shadowing never depends on the partition.
+        self.shadowing_salt = shadowing_salt(sim.rng.seed)
         self._index: Optional[SpatialIndex] = (
             None if brute_force else SpatialIndex(technology.max_range_m)
         )
@@ -517,8 +528,7 @@ class D2DMedium:
         if endpoint.device_id in self._endpoints:
             raise ValueError(f"duplicate endpoint {endpoint.device_id}")
         device_id = endpoint.device_id
-        self._seq[device_id] = self._next_seq
-        self._next_seq += 1
+        self._keys[device_id] = key64(device_id)
         self._endpoints[device_id] = endpoint
         max_speed = endpoint.mobility.max_speed_m_s()
         if max_speed == 0.0:
@@ -542,7 +552,7 @@ class D2DMedium:
         """Remove an endpoint from the medium entirely.
 
         Breaks its live connections, then drops every trace of it —
-        endpoint map, registration sequence, static memo, mobile set,
+        endpoint map, shadowing key, static memo, mobile set,
         unindexed set, spatial index. The sharded kernel churns ghost
         endpoints through this every sync window, so the block-memo stamp
         must move: the index version covers indexed members, and
@@ -553,7 +563,7 @@ class D2DMedium:
         for connection in list(self._adjacency.get(device_id, ())):
             self._break_connection(connection, "peer unregistered")
         del self._endpoints[device_id]
-        del self._seq[device_id]
+        del self._keys[device_id]
         self._static_pos.pop(device_id, None)
         if self._index is None:
             return
@@ -622,6 +632,13 @@ class D2DMedium:
         discovery-phase cost — its own find-phase participation — is paid
         when a connection is actually formed (see :meth:`connect`), which
         is exactly how the paper's 1:1 Table III measurement decomposes.
+
+        Each peer's RSSI is its mean path-loss RSSI plus log-normal
+        shadowing keyed by (experiment seed, unordered pair, 1 s slot):
+        a link reads one shadowing value per slot, the same from both
+        ends, whatever else is registered or scanned. ``rssi_noise=False``
+        returns the mean RSSI. Results sort by RSSI descending, then
+        device id.
         """
         requester = self.endpoint(requester_id)
         if not requester.powered_on:
@@ -629,6 +646,7 @@ class D2DMedium:
         now = self.sim.now
         self.discoveries += 1
         tech = self.technology
+        requester_key = self._keys[requester_id]
         requester.charge(
             EnergyPhase.D2D_DISCOVERY,
             self.profile.ue_discovery_uah * tech.discovery_scale,
@@ -639,23 +657,30 @@ class D2DMedium:
         def finish() -> None:
             t_section = time.perf_counter()
             t = self.sim.now
-            rng = self.sim.rng.get("d2d-discovery") if rssi_noise else None
+            sigma = tech.link.shadowing_sigma_db if rssi_noise else 0.0
+            keys = self._keys
+            salt = (
+                self.shadowing_salt
+                ^ ((math.floor(t) * _SLOT_MIX) & _MASK64)
+                ^ requester_key
+            )
             found: List[PeerInfo] = []
             origin = self._static_pos.get(requester_id)
             if origin is None:
                 origin = requester.position(t)
             perf = self.perf
             perf.scans += 1
-            link = tech.link
-            shadowed = link.shadowed
-            estimate_distance = link.estimate_distance
+            estimate_distance = tech.link.estimate_distance
             link_allowed = self.link_allowed
             append = found.append
+            normal = keyed_normal
             scan = self._scan_all if self._index is None else self._scan_block
             for peer, mean_rssi in scan(requester_id, origin, t):
                 if not link_allowed(requester_id, peer.device_id):
                     continue
-                rssi = shadowed(mean_rssi, rng)
+                rssi = mean_rssi
+                if sigma:
+                    rssi += sigma * normal(salt ^ keys[peer.device_id])
                 append(
                     PeerInfo(
                         device_id=peer.device_id,
@@ -664,8 +689,7 @@ class D2DMedium:
                         advertisement=peer.advertisement_view,
                     )
                 )
-            # reverse=True keeps insertion order for equal RSSI (stable
-            # sort), exactly like the previous ascending negated-key sort.
+            found.sort(key=_ID_KEY)
             found.sort(key=_RSSI_KEY, reverse=True)
             perf.scan_peers_returned += len(found)
             # section ends before the callback: downstream reactions
@@ -678,15 +702,13 @@ class D2DMedium:
     def _scan_block(
         self, requester_id: str, origin: Position, t: float
     ) -> List[Tuple[D2DEndpoint, float]]:
-        """Advertising peers in range of ``origin`` with their mean RSSI,
-        in registration order.
+        """Advertising peers in range of ``origin`` with their mean RSSI.
 
         One numpy pass over the memoised candidate block computes every
-        distance and discards the out-of-range majority in C. Filtering
-        range ahead of advertising is safe for determinism: the survivor
-        set of *all* filters — the only candidates that reach the RSSI
-        noise draw — is order-independent, and survivors are visited in
-        registration order either way.
+        distance and discards the out-of-range majority in C. Survivor
+        order is whatever the block's is: shadowing is keyed per link
+        and ``discover`` sorts the results, so order never reaches the
+        output.
         """
         perf = self.perf
         block = self._block_for(origin, t)
@@ -695,8 +717,7 @@ class D2DMedium:
         perf.scan_candidates_examined += len(ids) - 1
         distances = block.distances_from(origin, t)
         keep = np.nonzero(distances <= self.technology.max_range_m)[0]
-        # .tolist() converts to exact python floats, and probe_block keeps
-        # the per-element math bit-identical to probe — no numpy scalar
+        # .tolist() converts to exact python floats: no numpy scalar
         # ever leaks into a PeerInfo.
         probed = self.technology.link.probe_block(distances[keep].tolist())
         endpoints = self._endpoints
@@ -719,35 +740,38 @@ class D2DMedium:
         self, requester_id: str, origin: Position, t: float
     ) -> List[Tuple[D2DEndpoint, float]]:
         """Brute-force oracle for :meth:`_scan_block`: walk every endpoint
-        with the scalar per-peer math (:func:`distance_between`,
-        :meth:`LinkModel.probe`). It shares no index, memo or numpy code
-        with the block scan, which is what makes it the independent
-        reference the determinism guard compares against."""
+        with scalar :func:`distance_between`. It shares no index, memo or
+        numpy code with the block scan, which is what makes it the
+        independent reference the determinism guard compares against;
+        both paths share :meth:`LinkModel.probe_block` for the link math."""
         perf = self.perf
         perf.brute_force_scans += 1
         perf.scan_candidates_examined += len(self._endpoints) - 1
         max_range = self.technology.max_range_m
-        probe = self.technology.link.probe
-        survivors = []
+        peers = []
+        distances = []
         for device_id, peer in self._endpoints.items():
             if device_id == requester_id:
                 continue
             if not (peer.advertising and peer.powered_on):
                 continue
             distance = distance_between(origin, peer.position(t))
-            if distance > max_range:
-                continue
-            mean_rssi = probe(distance)
-            if mean_rssi is not None:
-                survivors.append((peer, mean_rssi))
-        return survivors
+            if distance <= max_range:
+                peers.append(peer)
+                distances.append(distance)
+        probed = self.technology.link.probe_block(distances)
+        return [
+            (peer, mean_rssi)
+            for peer, mean_rssi in zip(peers, probed)
+            if mean_rssi is not None
+        ]
 
     def _block_for(self, origin: Position, t: float) -> _VectorBlock:
         """The memoised candidate block for scans from ``origin``'s cell.
 
         The union of the index's ``(cell, k)`` block (range + drift
-        slack) and the always-checked unindexable set, sorted by
-        registration — a superset of every in-range peer, usually a tiny
+        slack) and the always-checked unindexable set — a superset of
+        every in-range peer, usually a tiny
         fraction of the crowd. Memoised per ``(cell, k)``; the whole memo
         is cleared when the (global) stamp moves, which bounds it by the
         number of distinct blocks scanned since the last membership/bin
@@ -769,10 +793,8 @@ class D2DMedium:
         if block is not None:
             return block
         ids = index.query_block(origin, max_range, slack)
-        if self._unindexed:
-            ids = set(ids)
-            ids.update(self._unindexed)
-        ids = sorted(ids, key=self._seq.__getitem__)
+        # unindexed endpoints are never in the index: the union is disjoint
+        ids.extend(self._unindexed)
         block = blocks[key] = _VectorBlock(ids, self._endpoints, self._static_pos)
         perf = self.perf
         perf.index_queries += 1
@@ -786,8 +808,7 @@ class D2DMedium:
         straight-line movers are evaluated in one numpy multiply-add
         instead of N ``position()`` calls. Update order (affine block
         first, then the exact remainder) differs from dict order, but the
-        index only bins candidates — blocks are sorted by registration
-        sequence — so discovery output is unaffected.
+        index only bins candidates, so discovery output is unaffected.
         """
         if not self._mobile or t - self._last_refresh_s < self.index_refresh_s:
             return

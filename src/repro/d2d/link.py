@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 from typing import Optional
 
 
@@ -47,7 +46,12 @@ def distance_from_rssi(
 
 @dataclasses.dataclass(frozen=True)
 class LinkModel:
-    """Parameters of one radio link model plus fading and loss behaviour."""
+    """Parameters of one radio link model plus fading and loss behaviour.
+
+    ``shadowing_sigma_db`` scales the log-normal shadowing discovery adds
+    to the mean RSSI (see :meth:`repro.d2d.base.D2DMedium.discover`,
+    which draws it keyed per link and time slot).
+    """
 
     tx_power_dbm: float = 15.0
     path_loss_at_ref_db: float = 40.0
@@ -56,50 +60,25 @@ class LinkModel:
     shadowing_sigma_db: float = 2.0  # log-normal shadowing on measurements
     sensitivity_dbm: float = -85.0  # below this the link is unusable
 
-    def rssi(self, distance_m: float, rng: Optional[random.Random] = None) -> float:
-        """RSSI at ``distance_m``, with shadowing noise when ``rng`` given."""
-        value = rssi_at(
+    def rssi(self, distance_m: float) -> float:
+        """Mean RSSI at ``distance_m`` (no shadowing)."""
+        return rssi_at(
             distance_m,
             self.tx_power_dbm,
             self.path_loss_at_ref_db,
             self.path_loss_exponent,
             self.reference_m,
         )
-        if rng is not None and self.shadowing_sigma_db > 0:
-            value += rng.gauss(0.0, self.shadowing_sigma_db)
-        return value
-
-    def probe(self, distance_m: float) -> Optional[float]:
-        """One-pass :meth:`in_range` + mean :meth:`rssi` for the scan path.
-
-        ``None`` when the mean RSSI at ``distance_m`` is below sensitivity
-        (out of range), else the mean RSSI. Computes the path-loss formula
-        once where separate ``in_range()`` + ``rssi()`` calls compute it
-        twice. No noise: callers apply :meth:`shadowed` only after the
-        candidate passes every filter, so the RNG draw sequence matches
-        the separate-call code exactly.
-        """
-        value = rssi_at(
-            distance_m,
-            self.tx_power_dbm,
-            self.path_loss_at_ref_db,
-            self.path_loss_exponent,
-            self.reference_m,
-        )
-        return None if value < self.sensitivity_dbm else value
 
     def probe_block(self, distances_m) -> "list[Optional[float]]":
-        """Batched :meth:`probe` over a whole candidate block.
+        """Mean RSSI per distance, ``None`` below sensitivity.
 
-        One call per scan instead of one per peer: the model fields and
-        ``math.log10`` are hoisted out of the loop, which is where the
-        per-call cost of :meth:`probe` actually goes. The per-element
-        arithmetic is kept as the *same scalar IEEE-754 sequence* as
-        :func:`rssi_at` on purpose — ``numpy.log10`` is not guaranteed
-        correctly rounded, and the sensitivity cutoff sits on the result,
-        so a last-ulp difference could flip a candidate in or out of
-        range and desynchronize the RSSI noise stream between the block
-        scan and the brute-force oracle, which calls :meth:`probe`.
+        The scan path's one-pass :meth:`in_range` + :meth:`rssi` over a
+        whole candidate block, with the model fields and ``math.log10``
+        hoisted out of the loop. The per-element arithmetic is the same
+        scalar IEEE-754 sequence as :func:`rssi_at`, so a peer discovery
+        finds in range is in range for :meth:`in_range` at connect time
+        too (``numpy.log10`` is not guaranteed correctly rounded).
         """
         tx = self.tx_power_dbm
         ref_db = self.path_loss_at_ref_db
@@ -114,14 +93,6 @@ class LinkModel:
             value = tx - (ref_db + slope * log10(d / ref_m))
             append(None if value < floor else value)
         return out
-
-    def shadowed(
-        self, mean_rssi_dbm: float, rng: Optional[random.Random] = None
-    ) -> float:
-        """Apply log-normal shadowing to a mean RSSI from :meth:`probe`."""
-        if rng is not None and self.shadowing_sigma_db > 0:
-            return mean_rssi_dbm + rng.gauss(0.0, self.shadowing_sigma_db)
-        return mean_rssi_dbm
 
     def estimate_distance(self, rssi_dbm: float) -> float:
         """Distance estimate from a (possibly noisy) RSSI reading."""

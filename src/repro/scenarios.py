@@ -596,7 +596,6 @@ def crowd_metrics_runner(
     mobile_fraction: float = 0.0,
     shards: int = 1,
     shard_backend: str = "serial",
-    shard_plan: str = "bands",
 ) -> Dict[str, float]:
     """Grid runner: one crowd run → plain scalar metrics.
 
@@ -635,7 +634,6 @@ def crowd_metrics_runner(
             heartbeat_period_s=heartbeat_period_s,
             shards=shards,
             backend=shard_backend,
-            shard_plan=shard_plan,
             channel=channel,
             chaos=chaos_profile,
             audit=audit,

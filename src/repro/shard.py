@@ -33,10 +33,12 @@ endpoints (the same churn path real unindexable devices take).
 Determinism contract
 --------------------
 A sharded run is **not** byte-identical to the unsharded
-:func:`~repro.scenarios.run_crowd_scenario` — each shard draws from its
-own ``child_seed(seed, "shard:i")`` RNG streams, and border discovery
-sees frozen ghosts instead of live peers. What is pinned, and what the
-determinism guard asserts, is
+:func:`~repro.scenarios.run_crowd_scenario` — each shard draws its
+streams from its own ``child_seed(seed, "shard:i")``, and border
+discovery sees frozen ghosts instead of live peers. Discovery shadowing
+is keyed on the master seed, not the child seed, so a pair reads the
+same shadowing in a slot whichever shard (or the unsharded kernel)
+scans it. What is pinned, and what the determinism guard asserts, is
 
 - ``serial`` ≡ ``process``: the two backends execute the identical
   window protocol in the identical order, so their merged
@@ -64,7 +66,7 @@ from repro.cellular.rrc import WCDMA_PROFILE
 from repro.core.framework import FrameworkConfig, HeartbeatRelayFramework
 from repro.core.matching import MatchConfig
 from repro.core.scheduler import SchedulerConfig
-from repro.d2d.base import D2DEndpoint, D2DMedium
+from repro.d2d.base import D2DEndpoint, D2DMedium, shadowing_salt
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.device import Role, Smartphone
 from repro.energy.model import EnergyModel
@@ -119,10 +121,8 @@ def _tile_partition(
     proportion to the device weight each side carries. The cut minimizing
     the per-shard load imbalance ``|w_lo/k_lo - w_hi/k_hi|`` wins;
     ties break deterministically (x-cut before y-cut, lowest cut line
-    first), so every shard worker derives the identical partition.
-
-    Unlike the column-band plan this never requires ``cells_x >= n_shards``
-    — any grid with at least one cell per shard is packable.
+    first), so every shard worker derives the identical partition. Any
+    grid with at least one cell per shard is packable.
     """
     assignment = [0] * (cells_x * cells_y)
 
@@ -185,18 +185,12 @@ class ShardPlan:
     """The static cell-to-shard partition every participant agrees on.
 
     Cells form a ``cells_x × cells_y`` grid over the arena (see
-    :func:`repro.cellular.network.grid_cell_positions`). Two partition
-    shapes exist:
-
-    - ``plan="bands"`` (default): shard ownership by **column band** —
-      shard boundaries are vertical lines and a device's home shard
-      depends only on its x position at t=0. The legacy partition; kept
-      byte-identical so existing pinned runs replay exactly.
-    - ``plan="tiles"``: rectangular **tiles** packed by the weighted
-      bisection in :func:`_tile_partition`, balancing per-shard device
-      load from the ``cell_weights`` cost model (device counts from the
-      initial placements). Lifts the ``n_shards <= cells_x`` band limit —
-      any grid with one cell per shard works.
+    :func:`repro.cellular.network.grid_cell_positions`), packed into
+    rectangular **tiles** by the weighted bisection in
+    :func:`_tile_partition`, balancing per-shard device load from the
+    ``cell_weights`` cost model (device counts from the initial
+    placements; uniform when omitted). Any grid with one cell per shard
+    works.
     """
 
     def __init__(
@@ -206,24 +200,12 @@ class ShardPlan:
         cells_y: int,
         arena_w: float,
         arena_h: float,
-        plan: str = "bands",
         cell_weights: Optional[Sequence[float]] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"need at least one shard, got {n_shards}")
-        if plan not in ("bands", "tiles"):
-            raise ValueError(
-                f"shard plan must be 'bands' or 'tiles', got {plan!r}"
-            )
         n_cells = cells_x * cells_y
-        if plan == "bands" and cells_x < n_shards:
-            raise ValueError(
-                f"column bands need at least one cell column per shard: "
-                f"cells_x={cells_x} < n_shards={n_shards} "
-                f"(use --shard-plan tiles to pack shards into 2-D tiles "
-                f"instead of column bands)"
-            )
-        if plan == "tiles" and n_cells < n_shards:
+        if n_cells < n_shards:
             raise ValueError(
                 f"need at least one grid cell per shard: "
                 f"{cells_x}x{cells_y}={n_cells} cells < n_shards={n_shards}"
@@ -236,24 +218,16 @@ class ShardPlan:
         self.n_shards = n_shards
         self.cells_x = cells_x
         self.cells_y = cells_y
-        self.plan_kind = plan
         self.cell_positions: List[Position] = grid_cell_positions(
             arena_w, arena_h, cells_x, cells_y
         )
+        weights = (
+            list(cell_weights) if cell_weights is not None else [1.0] * n_cells
+        )
         #: cell index -> owning shard
-        if plan == "bands":
-            self.cell_shards: List[int] = [
-                (c % cells_x) * n_shards // cells_x
-                for c in range(len(self.cell_positions))
-            ]
-        else:
-            weights = (
-                list(cell_weights) if cell_weights is not None
-                else [1.0] * n_cells
-            )
-            self.cell_shards = _tile_partition(
-                n_shards, cells_x, cells_y, weights
-            )
+        self.cell_shards: List[int] = _tile_partition(
+            n_shards, cells_x, cells_y, weights
+        )
         self._shard_cells: List[List[Position]] = [[] for _ in range(n_shards)]
         for position, shard in zip(self.cell_positions, self.cell_shards):
             self._shard_cells[shard].append(position)
@@ -323,7 +297,6 @@ class CrowdShardParams:
     cells_y: int = 2
     sync_window_s: float = 5.0
     ghost_margin_m: float = WIFI_DIRECT.max_range_m
-    shard_plan: str = "bands"
 
     def plan(self) -> ShardPlan:
         """Build the partition every shard worker independently agrees on.
@@ -334,26 +307,23 @@ class CrowdShardParams:
         every worker computes identical weights — no plan data crosses a
         process boundary.
         """
-        weights = None
-        if self.shard_plan == "tiles":
-            mobilities = place_crowd(
-                self.n_devices,
-                Arena(self.arena_w, self.arena_h),
-                make_rng(self.seed, "crowd-placement"),
-                hotspots=self.hotspots,
-                spread_m=self.hotspot_spread_m,
-                mobile_fraction=self.mobile_fraction,
-            )
-            weights = cell_occupancy(
-                grid_cell_positions(
-                    self.arena_w, self.arena_h, self.cells_x, self.cells_y
-                ),
-                [m.position(0.0) for m in mobilities],
-            )
+        mobilities = place_crowd(
+            self.n_devices,
+            Arena(self.arena_w, self.arena_h),
+            make_rng(self.seed, "crowd-placement"),
+            hotspots=self.hotspots,
+            spread_m=self.hotspot_spread_m,
+            mobile_fraction=self.mobile_fraction,
+        )
+        weights = cell_occupancy(
+            grid_cell_positions(
+                self.arena_w, self.arena_h, self.cells_x, self.cells_y
+            ),
+            [m.position(0.0) for m in mobilities],
+        )
         return ShardPlan(
             self.n_shards, self.cells_x, self.cells_y,
-            self.arena_w, self.arena_h,
-            plan=self.shard_plan, cell_weights=weights,
+            self.arena_w, self.arena_h, cell_weights=weights,
         )
 
 
@@ -448,6 +418,7 @@ class _ShardState:
         self.server = IMServer(self.sim)
         self.network.attach_sink_everywhere(self.server.uplink_sink)
         self.medium = D2DMedium(self.sim, WIFI_DIRECT, profile=DEFAULT_PROFILE)
+        self.medium.shadowing_salt = shadowing_salt(params.seed)
 
         arena = Arena(params.arena_w, params.arena_h)
         placement_rng = make_rng(params.seed, "crowd-placement")
@@ -872,7 +843,7 @@ def run_crowd_scenario_sharded(
     cells_y: int = 2,
     sync_window_s: float = 5.0,
     ghost_margin_m: float = WIFI_DIRECT.max_range_m,
-    shard_plan: str = "bands",
+    shard_plan: str = "tiles",
     backend: str = "serial",
     mode: str = "d2d",
     channel: Optional[str] = None,
@@ -884,10 +855,9 @@ def run_crowd_scenario_sharded(
     ``backend="serial"`` runs every shard in this process (the reference
     implementation); ``backend="process"`` runs one worker process per
     shard. Both execute the identical window protocol and must produce
-    byte-identical merged metrics. ``shard_plan`` picks the partition:
-    ``"bands"`` (legacy column bands, byte-identical to prior releases)
-    or ``"tiles"`` (load-balanced rectangular tiles, see
-    :class:`ShardPlan`).
+    byte-identical merged metrics. ``shard_plan`` names the partition;
+    load-balanced rectangular ``"tiles"`` (see :class:`ShardPlan`) is the
+    only one.
 
     The ``mode``/``channel``/``chaos``/``audit`` parameters exist only to
     make unsupported combinations loud: the sharded kernel currently runs
@@ -900,6 +870,11 @@ def run_crowd_scenario_sharded(
     """
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
+    if shard_plan != "tiles":
+        raise ValueError(
+            "the column-band plan was removed; 'tiles' is the only shard "
+            f"plan, got {shard_plan!r}"
+        )
     if backend not in ("serial", "process"):
         raise ValueError(f"backend must be 'serial' or 'process', got {backend!r}")
     blockers: List[str] = []
@@ -952,7 +927,6 @@ def run_crowd_scenario_sharded(
         cells_y=cells_y,
         sync_window_s=sync_window_s,
         ghost_margin_m=ghost_margin_m,
-        shard_plan=shard_plan,
     )
     params.plan()  # validate the partition before any worker starts
 

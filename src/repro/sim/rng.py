@@ -1,16 +1,31 @@
-"""Seeded random-number streams.
+"""Seeded random-number streams and keyed draws.
 
-Every stochastic component (mobility, discovery latency jitter, heartbeat
-phase offsets, link losses) draws from its **own named stream** derived from
-the experiment seed. Adding a new random consumer therefore never perturbs
-the draws seen by existing ones, which keeps regression baselines stable.
+Every stochastic component (mobility, heartbeat phase offsets, link
+losses) draws from its **own named stream** derived from the experiment
+seed. Adding a new random consumer therefore never perturbs the draws
+seen by existing ones, which keeps regression baselines stable.
+
+Discovery shadowing is not a stream at all: :func:`keyed_normal` maps a
+64-bit key — built from the seed, the link and the time slot — straight
+to a standard normal, so a draw depends on *what* is drawn, never on how
+many draws came before it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from array import array
+from statistics import NormalDist
 from typing import Dict
+
+_MASK64 = (1 << 64) - 1
+
+#: Standard-normal quantiles at the midpoints of 65536 equal-probability
+#: bins: indexing it with 16 uniform bits is an inverse-CDF normal draw.
+_NORMAL_TABLE = array(
+    "d", map(NormalDist().inv_cdf, ((i + 0.5) / 65536 for i in range(65536)))
+)
 
 
 def _derive_seed(master_seed: int, stream: str) -> int:
@@ -23,6 +38,25 @@ def _derive_seed(master_seed: int, stream: str) -> int:
         f"{master_seed}:{stream}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def key64(name: str) -> int:
+    """The 64-bit BLAKE2b digest of ``name`` (a device's draw key)."""
+    return int.from_bytes(
+        hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "big"
+    )
+
+
+def keyed_normal(key: int) -> float:
+    """The standard normal an unsigned 64-bit ``key`` maps to.
+
+    The splitmix64 finalizer spreads the key's entropy over all 64 bits;
+    the top 16 index :data:`_NORMAL_TABLE`. Equal keys give equal draws,
+    on every platform and in every process.
+    """
+    z = ((key ^ (key >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return _NORMAL_TABLE[(z ^ (z >> 31)) >> 48]
 
 
 def make_rng(master_seed: int, stream: str) -> random.Random:

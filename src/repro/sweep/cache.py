@@ -17,7 +17,7 @@ from typing import Any, Dict, Mapping, Optional
 
 #: Code-version tag baked into every cache key. Bump when runner or
 #: simulator semantics change in a way that invalidates stored metrics.
-CODE_VERSION_TAG = "repro-sweep-v1"
+CODE_VERSION_TAG = "repro-sweep-v2"
 
 
 class SweepCache:

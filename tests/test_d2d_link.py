@@ -1,10 +1,9 @@
 """Unit tests for the radio link model."""
 
-import random
-
 import pytest
 
 from repro.d2d.link import LinkModel, distance_from_rssi, rssi_at
+from repro.sim.rng import key64, keyed_normal
 
 
 class TestPathLoss:
@@ -37,19 +36,18 @@ class TestPathLoss:
 class TestLinkModel:
     def test_estimate_distance_inverts_clean_rssi(self):
         link = LinkModel()
-        clean = link.rssi(7.0, rng=None)
+        clean = link.rssi(7.0)
         assert link.estimate_distance(clean) == pytest.approx(7.0, rel=1e-9)
-
-    def test_shadowing_noise_applied_with_rng(self):
-        link = LinkModel(shadowing_sigma_db=3.0)
-        rng = random.Random(1)
-        noisy = {link.rssi(5.0, rng) for _ in range(10)}
-        assert len(noisy) == 10  # all different draws
 
     def test_noisy_estimates_center_on_truth(self):
         link = LinkModel(shadowing_sigma_db=2.0)
-        rng = random.Random(7)
-        estimates = [link.estimate_distance(link.rssi(5.0, rng)) for _ in range(500)]
+        estimates = [
+            link.estimate_distance(
+                link.rssi(5.0)
+                + link.shadowing_sigma_db * keyed_normal(key64(f"link-{i}"))
+            )
+            for i in range(500)
+        ]
         assert sum(estimates) / len(estimates) == pytest.approx(5.0, rel=0.15)
 
     def test_max_range_consistent_with_in_range(self):

@@ -125,6 +125,18 @@ class TestDiscovery:
         sim.run_until(10.0)
         assert [p.device_id for p in found] == ["near", "far"]
 
+    def test_equal_rssi_ties_break_by_device_id(self, sim, medium):
+        medium.register(make_endpoint("ue"))
+        # three peers at exactly 6 m: equal mean RSSI
+        for device_id, position in (
+            ("b", (0.0, 6.0)), ("c", (-6.0, 0.0)), ("a", (6.0, 0.0))
+        ):
+            medium.register(make_endpoint(device_id, position, advertising=True))
+        found = []
+        medium.discover("ue", found.extend, rssi_noise=False)
+        sim.run_until(10.0)
+        assert [p.device_id for p in found] == ["a", "b", "c"]
+
     def test_distance_estimate_exact_without_noise(self, sim, medium):
         medium.register(make_endpoint("ue"))
         medium.register(make_endpoint("relay", (4.0, 0.0), advertising=True))

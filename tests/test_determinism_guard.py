@@ -1,10 +1,12 @@
-"""Determinism guard: indexed discovery must be byte-identical to brute force.
+"""Determinism guard: results are equal across paths, backends and
+partitions.
 
 The spatial index is an acceleration structure only — for any seed it must
-produce the same peers, the same RSSI draws (RNG consumed in the same
-order), and the same result ordering as the O(N) brute-force scan. These
-tests pin that contract at two levels: raw `D2DMedium.discover` output and
-full crowd-scenario `RunMetrics`.
+produce the same peers, the same (keyed) RSSI, and the same result
+ordering as the O(N) brute-force scan. These tests pin that contract at
+two levels: raw `D2DMedium.discover` output and full crowd-scenario
+`RunMetrics`; the sharded kernel's backends, replays and delivery are
+pinned on two tile geometries.
 """
 
 from repro.d2d.base import D2DEndpoint, D2DMedium
@@ -223,6 +225,58 @@ class TestVectorizedScanIdentity:
             assert blocks and all(len(block.ids) < 24 for block in blocks)
 
 
+SHARD_CROWD = dict(
+    n_devices=60, relay_fraction=0.25, duration_s=120.0,
+    arena=Arena(400.0, 120.0), hotspots=6, mobile_fraction=0.3, seed=3,
+)
+SHARD_STORM = dict(storm_scan_period_s=10.0, sync_window_s=5.0)
+
+
+def _assert_backends_identical(geometry):
+    kwargs = dict(SHARD_CROWD, **SHARD_STORM, **geometry)
+    serial = run_crowd_scenario_sharded(backend="serial", **kwargs)
+    process = run_crowd_scenario_sharded(backend="process", **kwargs)
+    assert (
+        serial.metrics.to_comparable_dict()
+        == process.metrics.to_comparable_dict()
+    ), f"serial and process shard backends diverged on {geometry}"
+    assert serial.handovers == process.handovers
+    assert serial.ghost_registrations == process.ghost_registrations
+    assert serial.devices_per_shard == process.devices_per_shard
+    # the run must actually exercise the cross-shard machinery
+    assert serial.handovers > 0, f"no handover on {geometry}"
+    assert serial.ghost_registrations > 0, "no border ghost exchanged"
+    assert all(n > 0 for n in serial.devices_per_shard)
+
+
+def _assert_replay_identical(geometry):
+    kwargs = dict(SHARD_CROWD, **SHARD_STORM, **geometry)
+    first = run_crowd_scenario_sharded(backend="serial", **kwargs)
+    second = run_crowd_scenario_sharded(backend="serial", **kwargs)
+    assert (
+        first.metrics.to_comparable_dict()
+        == second.metrics.to_comparable_dict()
+    ), f"sharded replay diverged on {geometry}"
+
+
+def _assert_delivery_matches_unsharded(geometry):
+    # Same crowd, sharded vs single-kernel: the device population is
+    # identical and no beat is lost to the partition — received and
+    # on-time counts match exactly (energy/RNG details legitimately
+    # differ; that's the documented equivalence class).
+    unsharded = run_crowd_scenario(**SHARD_CROWD)
+    sharded = run_crowd_scenario_sharded(**SHARD_CROWD, **geometry)
+    assert set(sharded.metrics.devices) == set(unsharded.metrics.devices)
+    assert (
+        sharded.metrics.delivery.received
+        == unsharded.metrics.delivery.received
+    ), f"received diverged on {geometry}"
+    assert (
+        sharded.metrics.delivery.on_time
+        == unsharded.metrics.delivery.on_time
+    ), f"on-time diverged on {geometry}"
+
+
 class TestShardedKernelIdentity:
     """The cell-sharded kernel's determinism contract.
 
@@ -231,121 +285,41 @@ class TestShardedKernelIdentity:
     design promises: the serial and process backends are byte-identical,
     replay is byte-identical, and delivery is complete — every beat the
     unsharded kernel delivers, the sharded kernel delivers too, even
-    with movers crossing shard borders (handovers observed > 0).
+    with movers crossing shard borders. Geometry: two shards on the
+    default 4x2 cell grid.
     """
 
-    KWARGS = dict(
-        n_devices=60, relay_fraction=0.25, duration_s=120.0,
-        arena=Arena(400.0, 120.0), hotspots=6, mobile_fraction=0.3,
-        storm_scan_period_s=10.0, shards=2, sync_window_s=5.0, seed=3,
-    )
+    GEOMETRY = dict(shards=2)
 
     def test_serial_and_process_backends_identical(self):
-        serial = run_crowd_scenario_sharded(backend="serial", **self.KWARGS)
-        process = run_crowd_scenario_sharded(backend="process", **self.KWARGS)
-        assert (
-            serial.metrics.to_comparable_dict()
-            == process.metrics.to_comparable_dict()
-        ), "serial and process shard backends diverged"
-        assert serial.handovers == process.handovers
-        assert serial.ghost_registrations == process.ghost_registrations
-        assert serial.devices_per_shard == process.devices_per_shard
-        # the run must actually exercise the cross-shard machinery
-        assert serial.handovers > 0, "no handover crossed a cell border"
-        assert serial.ghost_registrations > 0, "no border ghost exchanged"
-        assert all(n > 0 for n in serial.devices_per_shard)
+        _assert_backends_identical(self.GEOMETRY)
 
     def test_sharded_replay_is_byte_identical(self):
-        first = run_crowd_scenario_sharded(backend="serial", **self.KWARGS)
-        second = run_crowd_scenario_sharded(backend="serial", **self.KWARGS)
-        assert (
-            first.metrics.to_comparable_dict()
-            == second.metrics.to_comparable_dict()
-        )
+        _assert_replay_identical(self.GEOMETRY)
 
     def test_sharded_delivery_matches_unsharded(self):
-        # Same crowd, sharded vs single-kernel: the device population is
-        # identical and no beat is lost to the partition — received and
-        # on-time counts match exactly (energy/RNG details legitimately
-        # differ; that's the documented equivalence class).
-        kwargs = dict(
-            n_devices=60, relay_fraction=0.25, duration_s=120.0,
-            hotspots=6, mobile_fraction=0.3, seed=3,
-        )
-        unsharded = run_crowd_scenario(arena=Arena(400.0, 120.0), **kwargs)
-        sharded = run_crowd_scenario_sharded(
-            arena=Arena(400.0, 120.0), shards=2, **kwargs
-        )
-        assert set(sharded.metrics.devices) == set(unsharded.metrics.devices)
-        assert (
-            sharded.metrics.delivery.received
-            == unsharded.metrics.delivery.received
-        )
-        assert (
-            sharded.metrics.delivery.on_time
-            == unsharded.metrics.delivery.on_time
-        )
+        _assert_delivery_matches_unsharded(self.GEOMETRY)
 
 
 class TestTilePlanIdentity:
-    """The tile shard plan obeys the same determinism contract as bands.
+    """The same contract on a geometry that needs two-axis cuts.
 
-    The geometry exercises the part bands cannot reach: three shards on a
-    2x2 cell grid (shards > cells_x), so the weighted-bisection planner
-    must cut along both axes and every worker must re-derive the same
-    weighted partition from the master seed before any of the byte-level
-    identities below can hold.
+    Three shards on a 2x2 cell grid (shards > cells_x), so the
+    weighted-bisection planner must cut along both axes and every worker
+    must re-derive the same weighted partition from the master seed
+    before any of the byte-level identities can hold.
     """
 
-    KWARGS = dict(
-        n_devices=60, relay_fraction=0.25, duration_s=120.0,
-        arena=Arena(400.0, 120.0), hotspots=6, mobile_fraction=0.3,
-        storm_scan_period_s=10.0, shards=3, cells_x=2, cells_y=2,
-        sync_window_s=5.0, seed=3, shard_plan="tiles",
-    )
+    GEOMETRY = dict(shards=3, cells_x=2, cells_y=2)
 
     def test_tile_serial_and_process_backends_identical(self):
-        serial = run_crowd_scenario_sharded(backend="serial", **self.KWARGS)
-        process = run_crowd_scenario_sharded(backend="process", **self.KWARGS)
-        assert (
-            serial.metrics.to_comparable_dict()
-            == process.metrics.to_comparable_dict()
-        ), "serial and process tile-plan backends diverged"
-        assert serial.handovers == process.handovers
-        assert serial.ghost_registrations == process.ghost_registrations
-        assert serial.devices_per_shard == process.devices_per_shard
-        assert serial.ghost_registrations > 0, "no border ghost exchanged"
-        assert all(n > 0 for n in serial.devices_per_shard)
+        _assert_backends_identical(self.GEOMETRY)
 
     def test_tile_replay_is_byte_identical(self):
-        first = run_crowd_scenario_sharded(backend="serial", **self.KWARGS)
-        second = run_crowd_scenario_sharded(backend="serial", **self.KWARGS)
-        assert (
-            first.metrics.to_comparable_dict()
-            == second.metrics.to_comparable_dict()
-        )
+        _assert_replay_identical(self.GEOMETRY)
 
     def test_tile_delivery_matches_unsharded(self):
-        # Same completeness promise as the band plan: the partition shape
-        # must not cost a single heartbeat vs the unsharded kernel.
-        kwargs = dict(
-            n_devices=60, relay_fraction=0.25, duration_s=120.0,
-            hotspots=6, mobile_fraction=0.3, seed=3,
-        )
-        unsharded = run_crowd_scenario(arena=Arena(400.0, 120.0), **kwargs)
-        tiled = run_crowd_scenario_sharded(
-            arena=Arena(400.0, 120.0), shards=3, cells_x=2, cells_y=2,
-            shard_plan="tiles", **kwargs
-        )
-        assert set(tiled.metrics.devices) == set(unsharded.metrics.devices)
-        assert (
-            tiled.metrics.delivery.received
-            == unsharded.metrics.delivery.received
-        )
-        assert (
-            tiled.metrics.delivery.on_time
-            == unsharded.metrics.delivery.on_time
-        )
+        _assert_delivery_matches_unsharded(self.GEOMETRY)
 
 
 class TestChannelModeIdentity:

@@ -8,6 +8,8 @@ fresh discovery that matches the now-nearest relay. These tests pin that
 emergent behaviour down.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cellular.basestation import BaseStation
@@ -29,6 +31,9 @@ RELAY_POSITIONS = ((0.0, 0.0), (160.0, 0.0))
 #: 50 m range around t = 510 s and enters B's 20 m pairing range around
 #: t = 1380 s.
 UE_MOBILITY = LinearMobility((2.0, 0.0), (0.1, 0.0))
+NOISELESS_WIFI_DIRECT = dataclasses.replace(
+    WIFI_DIRECT, link=dataclasses.replace(WIFI_DIRECT.link, shadowing_sigma_db=0.0)
+)
 
 
 @pytest.fixture
@@ -38,7 +43,9 @@ def rig():
     basestation = BaseStation(sim, ledger=ledger)
     server = IMServer(sim)
     basestation.attach_sink(server.uplink_sink)
-    medium = D2DMedium(sim, WIFI_DIRECT)
+    # σ = 0: the subject is re-pairing along the walk, not shadowing, so
+    # the link is noise-free and the pairing points are deterministic
+    medium = D2DMedium(sim, NOISELESS_WIFI_DIRECT)
     framework = HeartbeatRelayFramework(
         [], app=STANDARD_APP,
         config=FrameworkConfig(

@@ -109,18 +109,17 @@ class TestCompareReports:
 
 
 class TestCompareReportsMultiCase:
-    """The gate generalizes: per-case ratios, partial runs, delivery."""
+    """The gate generalizes: per-case ratios and partial runs."""
 
     @staticmethod
-    def _balanced_report(speedup_critical, delivery=True, only=None):
+    def _sharded_report(speedup_sharded, only=None):
         report = {
             "schema": bench.BENCH_SCHEMA,
             "rev": "deadbee",
             "cases": {
-                "crowd-20000-balanced": {
+                "crowd-5000-sharded": {
                     "wall_s": 1.0,
-                    "speedup_tiles_critical": speedup_critical,
-                    "delivery_close": delivery,
+                    "speedup_sharded": speedup_sharded,
                 }
             },
         }
@@ -129,31 +128,24 @@ class TestCompareReportsMultiCase:
         return report
 
     def test_partial_only_run_may_omit_the_gate_case(self):
-        current = self._balanced_report(1.7, only="crowd-20000-balanced")
-        baseline = self._balanced_report(1.7)
+        current = self._sharded_report(1.7, only="crowd-5000-sharded")
+        baseline = self._sharded_report(1.7)
         assert bench.compare_reports(current, baseline) == []
 
     def test_full_report_still_requires_the_gate_case(self):
         failures = bench.compare_reports(
-            self._balanced_report(1.7), self._balanced_report(1.7)
+            self._sharded_report(1.7), self._sharded_report(1.7)
         )
         assert failures and "missing" in failures[0]
 
-    def test_delivery_divergence_fails(self):
-        current = self._balanced_report(
-            1.7, delivery=False, only="crowd-20000-balanced"
-        )
-        failures = bench.compare_reports(current, self._balanced_report(1.7))
-        assert failures and "delivered different" in failures[0]
-
     def test_per_case_ratio_regression_fails(self):
-        current = self._balanced_report(1.0, only="crowd-20000-balanced")
-        failures = bench.compare_reports(current, self._balanced_report(1.7))
-        assert failures and "speedup_tiles_critical regressed" in failures[0]
+        current = self._sharded_report(1.0, only="crowd-5000-sharded")
+        failures = bench.compare_reports(current, self._sharded_report(1.7))
+        assert failures and "speedup_sharded regressed" in failures[0]
 
     def test_cases_absent_from_the_baseline_are_not_gated(self):
         # a baseline predating a new case must not block it
-        current = self._balanced_report(1.7, only="crowd-20000-balanced")
+        current = self._sharded_report(1.7, only="crowd-5000-sharded")
         baseline = _report(3.0)
         assert bench.compare_reports(current, baseline) == []
 

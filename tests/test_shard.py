@@ -3,12 +3,15 @@
 import pytest
 
 from repro.cellular.network import CellularNetwork, grid_cell_positions
+from repro.d2d.base import D2DMedium
+from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.mobility.models import place_crowd
 from repro.mobility.space import Arena
 from repro.shard import (
     CrowdShardParams,
     GhostMobility,
     ShardPlan,
+    _ShardState,
     _route_reports,
     _tile_partition,
     cell_occupancy,
@@ -34,6 +37,7 @@ class TestGridCellPositions:
 class TestShardPlan:
     def test_column_band_partition(self):
         plan = ShardPlan(2, 4, 2, 400.0, 100.0)
+        # uniform weights tie the x- and y-cuts; the x-cut wins, so
         # columns 0-1 -> shard 0, columns 2-3 -> shard 1, on both rows
         assert plan.cell_shards == [0, 0, 1, 1, 0, 0, 1, 1]
 
@@ -50,27 +54,21 @@ class TestShardPlan:
         # deep inside shard 0's territory: no foreign shard in reach
         assert plan.border_shards((50.0, 50.0), 0, 50.0) == []
 
-    def test_requires_a_column_per_shard(self):
-        with pytest.raises(ValueError):
-            ShardPlan(4, 2, 2, 400.0, 100.0)
-
     def test_band_error_names_the_tiles_escape_hatch(self):
-        with pytest.raises(ValueError, match="--shard-plan tiles"):
-            ShardPlan(4, 2, 2, 400.0, 100.0)
+        with pytest.raises(ValueError, match="band.*removed.*'tiles'"):
+            run_crowd_scenario_sharded(n_devices=4, shard_plan="bands")
 
     def test_rejects_unknown_plan_name(self):
-        with pytest.raises(ValueError, match="bands.*tiles"):
-            ShardPlan(2, 4, 2, 400.0, 100.0, plan="hexagons")
+        with pytest.raises(ValueError, match="'tiles'.*'hexagons'"):
+            run_crowd_scenario_sharded(n_devices=4, shard_plan="hexagons")
 
     def test_tiles_need_a_cell_per_shard(self):
         with pytest.raises(ValueError):
-            ShardPlan(5, 2, 2, 400.0, 100.0, plan="tiles")
+            ShardPlan(5, 2, 2, 400.0, 100.0)
 
     def test_rejects_mismatched_cell_weights(self):
         with pytest.raises(ValueError, match="one entry per cell"):
-            ShardPlan(
-                2, 4, 2, 400.0, 100.0, plan="tiles", cell_weights=[1.0] * 3
-            )
+            ShardPlan(2, 4, 2, 400.0, 100.0, cell_weights=[1.0] * 3)
 
 
 class TestCellOccupancy:
@@ -109,7 +107,7 @@ class TestTilePartition:
     def test_lifts_the_column_band_limit(self):
         # 4 shards on a 2x2 grid: impossible as column bands, one cell
         # per shard as tiles
-        plan = ShardPlan(4, 2, 2, 400.0, 100.0, plan="tiles")
+        plan = ShardPlan(4, 2, 2, 400.0, 100.0)
         assert sorted(plan.cell_shards) == [0, 1, 2, 3]
 
     def test_every_shard_is_a_rectangle(self):
@@ -220,22 +218,30 @@ class TestSmallShardedRun:
         assert plan.n_shards == 3
         assert {shard for shard in plan.cell_shards} == {0, 1, 2}
 
+    def test_every_shard_keys_shadowing_on_the_master_seed(self):
+        # shadowing must not depend on the partition: each shard's
+        # medium reads the salt an unsharded run on the same seed reads
+        params = CrowdShardParams(n_devices=12, seed=5)
+        unsharded = D2DMedium(Simulator(seed=5), WIFI_DIRECT)
+        for shard in range(params.n_shards):
+            state = _ShardState(shard, params)
+            assert state.medium.shadowing_salt == unsharded.shadowing_salt
+
     def test_tiles_params_round_trip_beyond_the_band_limit(self):
-        params = CrowdShardParams(
-            n_shards=3, cells_x=2, cells_y=2, shard_plan="tiles"
-        )
+        params = CrowdShardParams(n_shards=3, cells_x=2, cells_y=2)
         plan = params.plan()
-        assert plan.plan_kind == "tiles"
         assert {shard for shard in plan.cell_shards} == {0, 1, 2}
 
 
 class TestHotspotCrowdBalance:
-    """The tile planner's reason to exist: hotspot crowds skew bands.
+    """The tile planner's reason to exist: hotspot crowds skew naive
+    partitions.
 
     Uses the crowd-20000-balanced bench geometry. The comparison is
     planner-level (device counts per shard from the t=0 placements, the
-    planner's own cost model) — no simulation needed to show the column
-    bands concentrate hotspot load while the weighted tiles spread it.
+    planner's own cost model) — no simulation needed to show that equal
+    column bands concentrate hotspot load while the weighted tiles
+    spread it.
     """
 
     GEOMETRY = dict(
@@ -245,8 +251,14 @@ class TestHotspotCrowdBalance:
     )
 
     def _device_skew(self, shard_plan):
-        params = CrowdShardParams(shard_plan=shard_plan, **self.GEOMETRY)
+        params = CrowdShardParams(**self.GEOMETRY)
         plan = params.plan()
+        cell_shards = plan.cell_shards
+        if shard_plan == "bands":  # equal column bands, for contrast
+            cell_shards = [
+                (c % plan.cells_x) * plan.n_shards // plan.cells_x
+                for c in range(len(cell_shards))
+            ]
         weights = cell_occupancy(
             plan.cell_positions,
             [
@@ -262,7 +274,7 @@ class TestHotspotCrowdBalance:
             ],
         )
         per_shard = [0.0] * plan.n_shards
-        for cell, shard in enumerate(plan.cell_shards):
+        for cell, shard in enumerate(cell_shards):
             per_shard[shard] += weights[cell]
         mean = sum(per_shard) / len(per_shard)
         return max(per_shard) / mean
