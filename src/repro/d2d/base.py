@@ -31,8 +31,13 @@ from repro.mobility.index import Cell, SpatialIndex
 from repro.mobility.models import MobilityModel, TrajectoryBatch
 from repro.mobility.space import Position, distance_between
 from repro.perf import PerfCounters
-from repro.sim.engine import PeriodicProcess, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.rng import _derive_seed, key64, keyed_normal
+
+#: Most period-grid steps one drift-bounded link check may lie ahead of
+#: the last one, so a near-zero speed bound cannot spin the grid walk.
+_MAX_CHECK_STEPS = 64
 
 #: Odd 64-bit multiplier spreading the 1 s shadowing slot over the salt.
 _SLOT_MIX = 0xD6E8FEB86659FD93
@@ -174,7 +179,14 @@ class D2DConnection:
         self.messages_delivered = 0
         self.messages_lost = 0
         self.bytes_transferred = 0
-        self._monitor: Optional[PeriodicProcess] = None
+        #: Link-check grid: the last grid instant checked (establishment
+        #: first), the pending check, and the endpoints' summed speed
+        #: bounds (``None`` when either is unknown).
+        self._grid_s = established_at_s
+        self._check: Optional[Event] = None
+        v_a = initiator.mobility.max_speed_m_s()
+        v_b = responder.mobility.max_speed_m_s()
+        self._drift_m_s = None if v_a is None or v_b is None else v_a + v_b
 
     # ------------------------------------------------------------------
     def peer_of(self, device_id: str) -> D2DEndpoint:
@@ -395,7 +407,9 @@ class D2DMedium:
     profile:
         Energy calibration (shared with the cellular side).
     link_check_period_s:
-        How often live connections re-check range under mobility.
+        The grid live connections' range checks fall on (establishment
+        time plus whole periods); instants the endpoints' speed bounds
+        prove safe are skipped.
     allow_undeployed:
         LTE Direct is modelled but flagged undeployed (the paper abandons
         it "for generality consideration"); using it requires opting in.
@@ -451,10 +465,20 @@ class D2DMedium:
             )
         if index_refresh_s <= 0:
             raise ValueError(f"index_refresh_s must be positive, got {index_refresh_s}")
+        if link_check_period_s <= 0:
+            raise ValueError(
+                f"link_check_period_s must be positive, got {link_check_period_s}"
+            )
         self.sim = sim
         self.technology = technology
         self.profile = profile
         self.link_check_period_s = link_check_period_s
+        #: Links shorter than this are in range for both the technology's
+        #: hard cutoff and the link model's sensitivity floor; the 1 mm
+        #: margin absorbs float error in positions and distances.
+        self._safe_range_m = (
+            min(technology.max_range_m, technology.link.max_range_m()) - 1e-3
+        )
         self.group_aware = group_aware
         self.group_join_discount = group_join_discount
         self.brute_force = brute_force
@@ -509,11 +533,7 @@ class D2DMedium:
         #: (dicts as ordered sets: O(1) add/remove, stable iteration)
         self._connections: Dict[D2DConnection, None] = {}
         self._adjacency: Dict[str, Dict[D2DConnection, None]] = {}
-        #: Optional veto on pairwise reachability (chaos link flap): called
-        #: as ``link_gate(a_id, b_id)``; returning ``False`` makes the pair
-        #: mutually unreachable — discovery hides them, connects fail, live
-        #: links break at the next send or link check.
-        self.link_gate: Optional[Callable[[str, str], bool]] = None
+        self._link_gate: Optional[Callable[[str, str], bool]] = None
         # statistics
         self.discoveries = 0
         self.connections_established = 0
@@ -611,9 +631,41 @@ class D2DMedium:
         """Snapshot of every currently established connection."""
         return list(self._connections)
 
+    @property
+    def link_gate(self) -> Optional[Callable[[str, str], bool]]:
+        """Optional veto on pairwise reachability (chaos link flap).
+
+        Called as ``link_gate(a_id, b_id)``; returning ``False`` makes the
+        pair mutually unreachable — discovery hides them, connects fail,
+        live links break at the next send or link check. A gate can flip
+        at any time, so while one is installed every link is checked at
+        each instant of its grid; setting or clearing it re-arms every
+        live link at its next grid instant at or after now.
+        """
+        return self._link_gate
+
+    @link_gate.setter
+    def link_gate(self, gate: Optional[Callable[[str, str], bool]]) -> None:
+        self._link_gate = gate
+        now = self.sim.now
+        period = self.link_check_period_s
+        for connection in self._connections:
+            due = connection._grid_s + period
+            while due < now:
+                due += period
+            pending = connection._check
+            if pending is not None:
+                if pending.time == due:
+                    continue
+                pending.cancel()
+            connection._check = self.sim.schedule_at(
+                due, self._check_link, connection, name="d2d_link_check"
+            )
+
     def link_allowed(self, a_id: str, b_id: str) -> bool:
         """Whether the gate (if any) permits the ``a``–``b`` pair."""
-        return self.link_gate is None or self.link_gate(a_id, b_id)
+        gate = self._link_gate
+        return gate is None or gate(a_id, b_id)
 
     # ------------------------------------------------------------------
     # discovery
@@ -896,12 +948,7 @@ class D2DMedium:
             self._adjacency.setdefault(initiator_id, {})[connection] = None
             self._adjacency.setdefault(responder_id, {})[connection] = None
             self.connections_established += 1
-            connection._monitor = self.sim.every(
-                self.link_check_period_s,
-                self._check_link,
-                connection,
-                name="d2d_link_check",
-            )
+            self._arm_check(connection, distance)
             on_complete(connection)
 
         self.sim.schedule(connect_latency, finish, name="d2d_connect")
@@ -909,9 +956,39 @@ class D2DMedium:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _arm_check(self, connection: D2DConnection, distance: float) -> None:
+        """Schedule ``connection``'s next range check on its period grid.
+
+        The grid is the establishment time advanced by repeated
+        ``+= link_check_period_s``. With ``distance`` measured at the last
+        grid instant, the link cannot leave the safe range before the
+        endpoints' summed speed bounds could cover the gap, so the check
+        lands on the first grid instant at or after that moment (at most
+        ``_MAX_CHECK_STEPS`` steps ahead); the instants skipped would all
+        have found the link in range. A pair that cannot move arms
+        nothing. Unknown speed bounds, or an installed gate, check every
+        grid instant.
+        """
+        period = self.link_check_period_s
+        due = connection._grid_s + period
+        drift = connection._drift_m_s
+        if drift is not None and self._link_gate is None:
+            if drift == 0.0:
+                return
+            reach_s = connection._grid_s + (self._safe_range_m - distance) / drift
+            for _ in range(_MAX_CHECK_STEPS - 1):
+                if due >= reach_s:
+                    break
+                due += period
+        connection._check = self.sim.schedule_at(
+            due, self._check_link, connection, name="d2d_link_check"
+        )
+
     def _check_link(self, connection: D2DConnection) -> None:
+        connection._check = None
         if not connection.alive:
             return
+        connection._grid_s = self.sim.now
         if not self.link_allowed(
             connection.initiator.device_id, connection.responder.device_id
         ):
@@ -922,14 +999,16 @@ class D2DMedium:
             distance
         ):
             self._break_connection(connection, "out of range")
+            return
+        self._arm_check(connection, distance)
 
     def _break_connection(self, connection: D2DConnection, reason: str) -> None:
         if not connection.alive:
             return
         connection.alive = False
-        if connection._monitor is not None:
-            connection._monitor.stop()
-            connection._monitor = None
+        if connection._check is not None:
+            connection._check.cancel()
+            connection._check = None
         self._connections.pop(connection, None)
         for device_id in (connection.initiator.device_id, connection.responder.device_id):
             adjacency = self._adjacency.get(device_id)

@@ -7,6 +7,7 @@ from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel, EnergyPhase
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.mobility.models import LinearMobility, StaticMobility
+from repro.sim.engine import Simulator
 
 
 def make_endpoint(device_id, position=(0.0, 0.0), advertising=False, role=None):
@@ -47,6 +48,12 @@ class TestRegistration:
             D2DMedium(sim, LTE_DIRECT)
         # explicit opt-in works
         D2DMedium(sim, LTE_DIRECT, allow_undeployed=True)
+
+    @pytest.mark.parametrize("period", [0.0, -5.0])
+    def test_non_positive_link_check_period_rejected(self, sim, period):
+        # a one-shot re-arm on a zero period would never advance the grid
+        with pytest.raises(ValueError, match="link_check_period_s"):
+            D2DMedium(sim, WIFI_DIRECT, link_check_period_s=period)
 
 
 class TestDiscovery:
@@ -350,6 +357,68 @@ class TestMobilityBreaks:
         medium.power_off("relay")
         assert not holder[0].alive
         assert medium.connections_of("ue") == []
+
+
+class TestLinkSupervision:
+    """Range checks fall on the connection's period grid (establishment
+    time plus whole periods) but only where the endpoints' speed bounds
+    say the link could have left range."""
+
+    def _static_pair(self, sim):
+        medium = D2DMedium(sim, WIFI_DIRECT)
+        medium.register(make_endpoint("ue"))
+        medium.register(make_endpoint("relay", (30.0, 0.0), advertising=True))
+        holder = []
+        medium.connect("ue", "relay", holder.append)
+        return medium, holder
+
+    def test_static_pair_is_never_checked(self):
+        sim = Simulator(seed=1, trace=True)
+        __, holder = self._static_pair(sim)
+        sim.run_until(3600.0)
+        assert holder[0].alive
+        assert not [name for __, name in sim.event_log if name == "d2d_link_check"]
+        assert sim.pending == 0
+
+    # 121.5 is itself a grid instant (established at 1.5, period 5 s):
+    # the check at the install instant already sees the gate
+    @pytest.mark.parametrize("install_s", [123.4, 121.5])
+    def test_gate_installed_mid_run_breaks_at_next_grid_instant(self, install_s):
+        sim = Simulator(seed=1)
+        medium, holder = self._static_pair(sim)
+        breaks = []
+        medium.endpoint("ue").on_disconnect = lambda conn, reason: breaks.append(
+            (sim.now, reason)
+        )
+        sim.run_until(install_s)
+        connection = holder[0]
+        medium.link_gate = lambda a, b: False
+        sim.run_until(1000.0)
+        due = connection.established_at_s + medium.link_check_period_s
+        while due < install_s:
+            due += medium.link_check_period_s
+        assert breaks == [(due, "link down")]
+
+    def test_mover_is_checked_only_near_the_range_edge(self):
+        sim = Simulator(seed=1, trace=True)
+        medium = D2DMedium(sim, WIFI_DIRECT)
+        # 0.5 m/s away from 10 m: past the 50 m range at t = 80 s
+        medium.register(D2DEndpoint("ue", LinearMobility((10.0, 0.0), (0.5, 0.0))))
+        medium.register(make_endpoint("relay", advertising=True))
+        holder = []
+        medium.connect("ue", "relay", holder.append)
+        reasons = []
+        medium.endpoint("relay").on_disconnect = lambda conn, reason: reasons.append(
+            reason
+        )
+        sim.run_until(600.0)
+        checks = [t for t, name in sim.event_log if name == "d2d_link_check"]
+        assert reasons == ["out of range"]
+        # polling every 5 s would have taken 16 checks to find the break;
+        # it still lands on the first grid instant past the crossing
+        assert holder[0].established_at_s == 1.5
+        assert len(checks) < 5
+        assert checks[-1] == 81.5
 
 
 class TestAdvertisementSafety:
