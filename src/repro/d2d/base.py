@@ -19,7 +19,9 @@ import math
 import operator
 import time
 import types
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple,
+)
 
 import numpy as np
 
@@ -55,6 +57,9 @@ def shadowing_salt(seed: int) -> int:
 _ID_KEY = operator.attrgetter("device_id")
 _RSSI_KEY = operator.attrgetter("rssi_dbm")
 
+#: One scan survivor: ``(device_id, advertisement_view, mean_rssi)``.
+_Survivor = Tuple[str, Mapping[str, Any], float]
+
 
 class D2DTransferError(RuntimeError):
     """Raised for illegal transfer attempts (closed connection, bad peer)."""
@@ -82,9 +87,14 @@ class D2DTechnology:
     link: LinkModel = dataclasses.field(default_factory=LinkModel)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class PeerInfo:
+class PeerInfo(NamedTuple):
     """What a discovery scan reveals about one nearby peer.
+
+    An immutable tuple ``(device_id, rssi_dbm, estimated_distance_m,
+    advertisement)``: fields read by name or position, and assignment
+    raises ``AttributeError``. A scan builds one per survivor, and a
+    tuple costs a fraction of a frozen dataclass's per-field
+    ``object.__setattr__``.
 
     ``advertisement`` is a **read-only view** of the peer's live service
     record, not a per-scan copy (scans used to deep-copy every record for
@@ -348,11 +358,14 @@ class _VectorBlock:
     requester *not* filtered — the block is shared by every requester
     scanning from the same cell), whatever its size. Static endpoints have
     their coordinates baked in at build time; dynamic ones are listed in
-    ``_dynamic`` and refreshed into the arrays on every scan before the
-    numpy distance evaluation.
+    ``_dynamic`` and refreshed into the arrays before the numpy distance
+    evaluation, once per simulated instant: ``_t`` stamps the ``t`` of
+    the last refresh, and a position is a function of ``t`` alone, so
+    every later scan at that instant reads the same coordinates. Storm
+    scans share instants and requesters in one cell share one block.
     """
 
-    __slots__ = ("ids", "xs", "ys", "static_flags", "_dynamic")
+    __slots__ = ("ids", "xs", "ys", "static_flags", "_dynamic", "_t")
 
     def __init__(self, ids, endpoints, static_pos) -> None:
         n = len(ids)
@@ -373,10 +386,11 @@ class _VectorBlock:
         self.ys = ys
         self.static_flags = static_flags
         self._dynamic = dynamic
+        self._t: Optional[float] = None
 
     def distances_from(self, origin: Position, t: float):
-        """Refresh dynamic coordinates, then the block distances to
-        ``origin`` as one numpy array.
+        """Refresh dynamic coordinates unless already read at ``t``, then
+        the block distances to ``origin`` as one numpy array.
 
         ``sqrt(dx*dx + dy*dy)`` elementwise is the exact IEEE-754
         operation sequence :func:`repro.mobility.space.distance_between`
@@ -386,10 +400,12 @@ class _VectorBlock:
         """
         xs = self.xs
         ys = self.ys
-        for i, endpoint in self._dynamic:
-            x, y = endpoint.position(t)
-            xs[i] = x
-            ys[i] = y
+        if t != self._t:
+            for i, endpoint in self._dynamic:
+                x, y = endpoint.position(t)
+                xs[i] = x
+                ys[i] = y
+            self._t = t
         dx = xs - origin[0]
         dy = ys - origin[1]
         return np.sqrt(dx * dx + dy * dy)
@@ -709,38 +725,34 @@ class D2DMedium:
         def finish() -> None:
             t_section = time.perf_counter()
             t = self.sim.now
-            sigma = tech.link.shadowing_sigma_db if rssi_noise else 0.0
-            keys = self._keys
-            salt = (
-                self.shadowing_salt
-                ^ ((math.floor(t) * _SLOT_MIX) & _MASK64)
-                ^ requester_key
-            )
-            found: List[PeerInfo] = []
             origin = self._static_pos.get(requester_id)
             if origin is None:
                 origin = requester.position(t)
             perf = self.perf
             perf.scans += 1
-            estimate_distance = tech.link.estimate_distance
-            link_allowed = self.link_allowed
-            append = found.append
-            normal = keyed_normal
             scan = self._scan_all if self._index is None else self._scan_block
-            for peer, mean_rssi in scan(requester_id, origin, t):
-                if not link_allowed(requester_id, peer.device_id):
-                    continue
-                rssi = mean_rssi
-                if sigma:
-                    rssi += sigma * normal(salt ^ keys[peer.device_id])
-                append(
-                    PeerInfo(
-                        device_id=peer.device_id,
-                        rssi_dbm=rssi,
-                        estimated_distance_m=estimate_distance(rssi),
-                        advertisement=peer.advertisement_view,
-                    )
+            survivors = scan(requester_id, origin, t)
+            gate = self._link_gate
+            if gate is not None:
+                survivors = [s for s in survivors if gate(requester_id, s[0])]
+            estimate_distance = tech.link.estimate_distance
+            sigma = tech.link.shadowing_sigma_db if rssi_noise else 0.0
+            keys = self._keys
+            normal = keyed_normal
+            salt = (
+                self.shadowing_salt
+                ^ ((math.floor(t) * _SLOT_MIX) & _MASK64)
+                ^ requester_key
+            )
+            found = [
+                PeerInfo(device_id, rssi, estimate_distance(rssi), view)
+                for device_id, view, mean_rssi in survivors
+                for rssi in (
+                    mean_rssi + sigma * normal(salt ^ keys[device_id])
+                    if sigma
+                    else mean_rssi,
                 )
+            ]
             found.sort(key=_ID_KEY)
             found.sort(key=_RSSI_KEY, reverse=True)
             perf.scan_peers_returned += len(found)
@@ -753,8 +765,9 @@ class D2DMedium:
 
     def _scan_block(
         self, requester_id: str, origin: Position, t: float
-    ) -> List[Tuple[D2DEndpoint, float]]:
-        """Advertising peers in range of ``origin`` with their mean RSSI.
+    ) -> List[_Survivor]:
+        """Advertising peers in range of ``origin``, as
+        ``(device_id, advertisement_view, mean_rssi)``.
 
         One numpy pass over the memoised candidate block computes every
         distance and discards the out-of-range majority in C. Survivor
@@ -774,7 +787,9 @@ class D2DMedium:
         probed = self.technology.link.probe_block(distances[keep].tolist())
         endpoints = self._endpoints
         static_flags = block.static_flags
-        survivors = []
+        survivors: List[_Survivor] = []
+        append = survivors.append
+        static_hits = 0
         for idx, mean_rssi in zip(keep.tolist(), probed):
             device_id = ids[idx]
             if device_id == requester_id:
@@ -783,14 +798,15 @@ class D2DMedium:
             if not (peer.advertising and peer.powered_on):
                 continue
             if static_flags[idx]:
-                perf.static_position_hits += 1
+                static_hits += 1
             if mean_rssi is not None:
-                survivors.append((peer, mean_rssi))
+                append((device_id, peer.advertisement_view, mean_rssi))
+        perf.static_position_hits += static_hits
         return survivors
 
     def _scan_all(
         self, requester_id: str, origin: Position, t: float
-    ) -> List[Tuple[D2DEndpoint, float]]:
+    ) -> List[_Survivor]:
         """Brute-force oracle for :meth:`_scan_block`: walk every endpoint
         with scalar :func:`distance_between`. It shares no index, memo or
         numpy code with the block scan, which is what makes it the
@@ -813,7 +829,7 @@ class D2DMedium:
                 distances.append(distance)
         probed = self.technology.link.probe_block(distances)
         return [
-            (peer, mean_rssi)
+            (peer.device_id, peer.advertisement_view, mean_rssi)
             for peer, mean_rssi in zip(peers, probed)
             if mean_rssi is not None
         ]

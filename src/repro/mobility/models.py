@@ -20,7 +20,13 @@ class MobilityModel:
     """Interface: analytic trajectory of one device."""
 
     def position(self, t: float) -> Position:
-        """Position at simulated time ``t`` (seconds)."""
+        """Position at simulated time ``t`` (seconds).
+
+        A function of ``t`` alone: equal ``t`` gives an equal position,
+        whoever asks and however often. Discovery relies on this to read
+        a mover once per simulated instant and share the coordinates
+        between every scan at that instant.
+        """
         raise NotImplementedError
 
     def velocity(self, t: float) -> Tuple[float, float]:

@@ -11,6 +11,10 @@ bugs once lived in discovery caches of this shape:
 2. Stale-stamp entries that are never evicted let a mobile crowd
    scanning from ever-new cells grow the memo without bound over a long
    run.
+
+A memoised block also stamps the instant its movers were last read at:
+scans sharing the block at one instant read each mover once, and a
+later scan of the same block re-reads them.
 """
 
 from __future__ import annotations
@@ -157,3 +161,71 @@ class TestBlockCacheBound:
         assert [p.device_id for p in again] == ["peer-0", "peer-1"]
         assert medium.perf.scans == 2
         assert medium.perf.vector_block_builds == 1
+
+
+class CountingMobility(LinearMobility):
+    """A straight-line mover that counts its ``position`` calls."""
+
+    def __init__(self, start, velocity):
+        super().__init__(start, velocity)
+        self.calls = 0
+
+    def position(self, t):
+        self.calls += 1
+        return super().position(t)
+
+
+def _mover_rig(brute_force=False):
+    """Two static scanners in one cell and one counting mover; rebins
+    are pushed past the run so every scan reads one memoised block."""
+    sim = Simulator(seed=1)
+    medium = D2DMedium(
+        sim, WIFI_DIRECT, brute_force=brute_force, index_refresh_s=1000.0
+    )
+    for device_id, x in (("scanner-a", 0.0), ("scanner-b", 1.0)):
+        medium.register(D2DEndpoint(device_id, StaticMobility((x, 0.0))))
+    mobility = CountingMobility((5.0, 0.0), (3.0, 0.0))
+    mover = D2DEndpoint("mover", mobility)
+    mover.advertising = True
+    medium.register(mover)
+    return sim, medium, mobility
+
+
+class TestMoverRefreshPerInstant:
+    def test_scanners_sharing_a_block_at_one_instant_read_a_mover_once(self):
+        sim, medium, mobility = _mover_rig()
+        results = []
+        sim.schedule_at(0.0, medium.discover, "scanner-a", results.append)
+        sim.schedule_at(0.0, medium.discover, "scanner-b", results.append)
+        before = mobility.calls
+        sim.run_until(3.0)
+        assert [[p.device_id for p in found] for found in results] == [
+            ["mover"], ["mover"],
+        ]
+        assert medium.perf.vector_block_builds == 1
+        assert mobility.calls - before == 1
+
+    def test_a_later_scan_of_the_same_block_sees_the_mover_move(self):
+        def observe(brute_force):
+            sim, medium, _ = _mover_rig(brute_force)
+            scans = []
+            for start in (0.0, 10.0):
+                sim.schedule_at(
+                    start, medium.discover, "scanner-a", scans.append, False
+                )
+            sim.run_until(15.0)
+            return medium, [
+                [(p.device_id, p.rssi_dbm, p.estimated_distance_m) for p in found]
+                for found in scans
+            ]
+
+        medium, indexed = observe(brute_force=False)
+        _, brute = observe(brute_force=True)
+        # no rebin in between: both scans were served by the one block
+        assert medium.perf.vector_block_builds == 1
+        assert medium.perf.index_rebuild_passes == 0
+        assert indexed == brute
+        # the mover walked from 11 m (t = 2 s) to 41 m (t = 12 s)
+        assert [found[0][2] for found in indexed] == [
+            pytest.approx(11.0), pytest.approx(41.0),
+        ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.d2d.base import D2DEndpoint, D2DMedium, D2DTransferError
+from repro.d2d.base import D2DEndpoint, D2DMedium, D2DTransferError, PeerInfo
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel, EnergyPhase
 from repro.energy.profiles import DEFAULT_PROFILE
@@ -459,3 +459,46 @@ class TestAdvertisementSafety:
         # view reflects it (it is a proxy, not a frozen copy).
         relay.advertisement["load"] = 0.7
         assert found[0].advertisement["load"] == 0.7
+
+
+class TestPeerInfoContract:
+    """A scan result is an immutable named tuple with a fixed field order."""
+
+    FIELDS = ("device_id", "rssi_dbm", "estimated_distance_m", "advertisement")
+
+    def test_keyword_and_positional_construction_agree(self):
+        advertisement = {"role": "relay"}
+        by_keyword = PeerInfo(
+            device_id="r", rssi_dbm=-50.0, estimated_distance_m=3.0,
+            advertisement=advertisement,
+        )
+        by_position = PeerInfo("r", -50.0, 3.0, advertisement)
+        assert by_keyword == by_position
+        assert tuple(by_position) == ("r", -50.0, 3.0, advertisement)
+
+    def test_field_order(self):
+        assert PeerInfo._fields == self.FIELDS
+        peer = PeerInfo("r", -50.0, 3.0, {})
+        assert [getattr(peer, name) for name in self.FIELDS] == list(peer)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_assignment_raises(self, field):
+        peer = PeerInfo("r", -50.0, 3.0, {})
+        with pytest.raises(AttributeError):
+            setattr(peer, field, None)
+
+    def test_two_equal_scans_compare_equal(self, sim, medium):
+        medium.register(make_endpoint("ue"))
+        for i, x in enumerate((3.0, 12.0, 30.0)):
+            medium.register(
+                make_endpoint(f"relay-{i}", (x, 0.0), advertising=True, role="relay")
+            )
+        scans = []
+        # both scans finish inside one 1 s shadowing slot: equal draws
+        sim.schedule_at(0.0, medium.discover, "ue", scans.append)
+        sim.schedule_at(0.5, medium.discover, "ue", scans.append)
+        sim.run_until(10.0)
+        first, second = scans
+        assert len(first) == 3
+        assert first == second
+        assert all(type(peer) is PeerInfo for peer in first)

@@ -35,6 +35,22 @@ def _sparse_position(i):
     )
 
 
+def _scanner(medium, observations):
+    """``scan(requester_id, tag)``: one discovery whose results append
+    ``(tag, peer, rssi, distance)`` to ``observations`` in order."""
+
+    def scan(requester_id, tag):
+        def record(peers):
+            for peer in peers:
+                observations.append(
+                    (tag, peer.device_id, peer.rssi_dbm, peer.estimated_distance_m)
+                )
+
+        medium.discover(requester_id, record)
+
+    return scan
+
+
 def _run_discovery_rounds(seed, brute_force, tweak=None, place=_crowd_position):
     """Scatter endpoints (static + mobile), run repeated interleaved scans,
     and return every (scan, peer, rssi, distance) observation in order."""
@@ -58,15 +74,7 @@ def _run_discovery_rounds(seed, brute_force, tweak=None, place=_crowd_position):
         tweak(medium)
 
     observations = []
-
-    def scan(requester_id, tag):
-        def record(peers):
-            for peer in peers:
-                observations.append(
-                    (tag, peer.device_id, peer.rssi_dbm, peer.estimated_distance_m)
-                )
-
-        medium.discover(requester_id, record)
+    scan = _scanner(medium, observations)
 
     for round_no in range(6):
         start = round_no * 10.0
@@ -74,6 +82,35 @@ def _run_discovery_rounds(seed, brute_force, tweak=None, place=_crowd_position):
         sim.schedule_at(start + 2.5, scan, f"d{(round_no * 7 + 1) % 30}", f"r{round_no}-b")
     sim.run_until(70.0)
     return observations, sim.events_fired
+
+
+def _run_storm_rounds(seed, brute_force):
+    """Every device of a 30%-mobile crowd scans at the same instants, so
+    requesters in one cell share a block and one read of its movers per
+    instant. Bursts three instants 0.4 s apart inside one 1 s rebin
+    window, so a block built at one instant serves the next before any
+    rebin. Returns the observations, events fired and perf counters."""
+    sim = Simulator(seed=seed)
+    medium = D2DMedium(sim, WIFI_DIRECT, brute_force=brute_force)
+    n = 40
+    for i in range(n):
+        pos = _crowd_position(i)
+        if i % 10 < 3:
+            mobility = LinearMobility(pos, (2.0 - 0.5 * (i % 4), 1.5 - (i % 3)))
+        else:
+            mobility = StaticMobility(pos)
+        endpoint = D2DEndpoint(f"d{i}", mobility, advertisement={"n": i})
+        endpoint.advertising = True
+        medium.register(endpoint)
+
+    observations = []
+    scan = _scanner(medium, observations)
+
+    for start in (0.0, 0.4, 0.8, 10.0, 10.4, 10.8, 20.0, 20.4, 20.8):
+        for i in range(n):
+            sim.schedule_at(start, scan, f"d{i}", f"{start}-d{i}")
+    sim.run_until(30.0)
+    return observations, sim.events_fired, medium.perf
 
 
 class TestDiscoveryIdentity:
@@ -85,6 +122,14 @@ class TestDiscoveryIdentity:
             assert indexed == brute, f"discovery diverged for seed {seed}"
             assert indexed_events == brute_events
             assert indexed, f"seed {seed} produced no observations (vacuous)"
+
+            # a same-instant storm: block sharing and per-instant refresh
+            indexed, indexed_events, perf = _run_storm_rounds(seed, False)
+            brute, brute_events, _ = _run_storm_rounds(seed, True)
+            assert indexed == brute, f"storm discovery diverged for seed {seed}"
+            assert indexed_events == brute_events
+            assert indexed, f"seed {seed} storm found no peers (vacuous)"
+            assert perf.vector_block_builds < perf.scans, "no block was shared"
 
 
 class TestCrowdMetricsIdentity:
